@@ -2,8 +2,9 @@
 //!
 //! Runs a serial campaign with the causal trace layer and the opcode
 //! profiler enabled (real clock), then attributes the wall time:
-//! optimizer-phase self-times, interpreter time, and the hottest
-//! opcodes, written to `BENCH_profile.json`. Companion to the
+//! optimizer-phase self-times, interpreter time, the hottest opcodes and
+//! the hottest superinstructions of the threaded substrate, written to
+//! `BENCH_profile.json`. Companion to the
 //! `jtelemetry-trace` binary, which answers the same question offline
 //! from a `--trace-out` file.
 //!
@@ -66,6 +67,8 @@ fn main() {
     spans.sort_by_key(|s| std::cmp::Reverse(s.self_nanos));
     let mut opcodes = snap.opcodes.clone();
     opcodes.sort_by(|a, b| b.nanos.cmp(&a.nanos).then(b.hits.cmp(&a.hits)));
+    let mut superops = snap.superops.clone();
+    superops.sort_by(|a, b| b.nanos.cmp(&a.nanos).then(b.hits.cmp(&a.hits)));
 
     let span_rows: Vec<Vec<String>> = spans
         .iter()
@@ -109,11 +112,31 @@ fn main() {
             &opcode_rows
         )
     );
+    let superop_rows: Vec<Vec<String>> = superops
+        .iter()
+        .take(10)
+        .map(|s| {
+            vec![
+                s.kind.clone(),
+                s.comp.join(" "),
+                s.hits.to_string(),
+                format!("{:.1}", s.nanos as f64 / 1e6),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            "Top superinstructions by sampled time",
+            &["kind", "composition", "dispatches", "sampled ms"],
+            &superop_rows
+        )
+    );
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"type\": \"mopfuzzer-profile-bench\",");
-    let _ = writeln!(json, "  \"version\": 1,");
+    let _ = writeln!(json, "  \"version\": 2,");
     let _ = writeln!(json, "  \"host\": {},", bench::host_meta_json());
     let _ = writeln!(json, "  \"rounds\": {rounds},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
@@ -143,6 +166,24 @@ fn main() {
             json,
             "    {{\"name\": \"{}\", \"hits\": {}, \"nanos\": {}}}{comma}",
             o.name, o.hits, o.nanos,
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(json, "  \"superops\": [");
+    for (i, s) in superops.iter().take(10).enumerate() {
+        let comma = if i + 1 < superops.len().min(10) {
+            ","
+        } else {
+            ""
+        };
+        let comp: Vec<String> = s.comp.iter().map(|c| format!("\"{c}\"")).collect();
+        let _ = writeln!(
+            json,
+            "    {{\"kind\": \"{}\", \"comp\": [{}], \"hits\": {}, \"nanos\": {}}}{comma}",
+            s.kind,
+            comp.join(", "),
+            s.hits,
+            s.nanos,
         );
     }
     let _ = writeln!(json, "  ]");

@@ -28,6 +28,7 @@ use crate::mutators::MutatorKind;
 use crate::supervisor::{BudgetKind, RoundError, RoundFailure, SupervisorConfig};
 use crate::variant::Variant;
 use jcorpus::Vfs;
+use jtelemetry::schema::{JsonError, MAX_JSON_DEPTH};
 use jtelemetry::{FlightEvent, FlightKind};
 use jvmsim::{Area, Component, CoverageMap, FaultPlan, JvmSpec, VmFault};
 use std::path::{Path, PathBuf};
@@ -703,12 +704,17 @@ fn req_u64(obj: &Json, key: &str) -> Result<u64, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open, bounded by
+    /// [`jtelemetry::schema::MAX_JSON_DEPTH`] so a hostile line cannot
+    /// overflow the stack.
+    depth: usize,
 }
 
 fn parse_json(text: &str) -> Result<Json, String> {
     let mut parser = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_ws();
@@ -754,6 +760,23 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'"' => Ok(Json::Str(self.string()?)),
+            b'[' | b'{' if self.depth == MAX_JSON_DEPTH => {
+                Err(JsonError::TooDeep { pos: self.pos }.to_string())
+            }
+            b'[' | b'{' => {
+                self.depth += 1;
+                let value = self.container();
+                self.depth -= 1;
+                value
+            }
+            _ => self.number(),
+        }
+    }
+
+    /// Parses the array or object at `pos` ([`Parser::value`] routes
+    /// only `[` and `{` here).
+    fn container(&mut self) -> Result<Json, String> {
+        match self.bytes[self.pos] {
             b'[' => {
                 self.pos += 1;
                 let mut items = Vec::new();
@@ -775,7 +798,7 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            b'{' => {
+            _ => {
                 self.pos += 1;
                 let mut fields = Vec::new();
                 self.skip_ws();
@@ -800,7 +823,6 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            _ => self.number(),
         }
     }
 
@@ -1520,6 +1542,23 @@ mod tests {
             assert_eq!(d.name, s.name);
             assert_eq!(d.program, s.program);
         }
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nest(MAX_JSON_DEPTH)).is_ok());
+        let too_deep = JsonError::TooDeep {
+            pos: MAX_JSON_DEPTH,
+        };
+        assert_eq!(
+            parse_json(&nest(MAX_JSON_DEPTH + 1)),
+            Err(too_deep.to_string())
+        );
+        // A megabyte of `[` (or of nested objects) is an error, not a
+        // stack overflow.
+        assert!(parse_json(&"[".repeat(1 << 20)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(1 << 16)).is_err());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::code::{Instr, MethodId};
 use crate::error::ExecError;
 use crate::image::Image;
 use crate::ops;
+use crate::profile::{opcode_index, OpcodeProfiler};
 use crate::value::{Heap, Value};
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -120,124 +121,6 @@ impl Profile {
                     || self.backedges[m] >= backedge_threshold
             })
             .collect()
-    }
-}
-
-/// Number of distinct opcodes ([`Instr`] discriminants) — the size of the
-/// profiler's fixed accumulation arrays.
-pub(crate) const OPCODE_COUNT: usize = 30;
-
-/// Stable display name for each opcode index (see [`opcode_index`]).
-pub(crate) const OPCODE_NAMES: [&str; OPCODE_COUNT] = [
-    "ConstI",
-    "ConstL",
-    "ConstB",
-    "ConstNull",
-    "ClassObj",
-    "Load",
-    "Store",
-    "GetField",
-    "PutField",
-    "GetStatic",
-    "PutStatic",
-    "Arith",
-    "Cmp",
-    "Neg",
-    "Not",
-    "Jump",
-    "JumpIfFalse",
-    "Invoke",
-    "InvokeVirtual",
-    "InvokeReflect",
-    "New",
-    "BoxInt",
-    "UnboxInt",
-    "MonitorEnter",
-    "MonitorExit",
-    "Print",
-    "Pop",
-    "Dup",
-    "ReturnV",
-    "Return",
-];
-
-/// Dense index of an instruction's opcode, for array-indexed profiling.
-pub(crate) fn opcode_index(instr: &Instr) -> usize {
-    match instr {
-        Instr::ConstI(_) => 0,
-        Instr::ConstL(_) => 1,
-        Instr::ConstB(_) => 2,
-        Instr::ConstNull => 3,
-        Instr::ClassObj(_) => 4,
-        Instr::Load(_) => 5,
-        Instr::Store(_) => 6,
-        Instr::GetField(_) => 7,
-        Instr::PutField(_) => 8,
-        Instr::GetStatic(..) => 9,
-        Instr::PutStatic(..) => 10,
-        Instr::Arith(_) => 11,
-        Instr::Cmp(_) => 12,
-        Instr::Neg => 13,
-        Instr::Not => 14,
-        Instr::Jump(_) => 15,
-        Instr::JumpIfFalse(_) => 16,
-        Instr::Invoke { .. } => 17,
-        Instr::InvokeVirtual { .. } => 18,
-        Instr::InvokeReflect { .. } => 19,
-        Instr::New(_) => 20,
-        Instr::BoxInt => 21,
-        Instr::UnboxInt => 22,
-        Instr::MonitorEnter => 23,
-        Instr::MonitorExit => 24,
-        Instr::Print => 25,
-        Instr::Pop => 26,
-        Instr::Dup => 27,
-        Instr::ReturnV => 28,
-        Instr::Return => 29,
-    }
-}
-
-/// Sampling opcode profiler, active only under `mopfuzzer --profile`.
-///
-/// Hits are counted on every instruction (one array increment); wall time
-/// is attributed by sampling — every 64th instruction reads the session
-/// clock once and charges the inter-sample delta to the opcode executing
-/// at the sample point. That keeps dispatch overhead at ~1/64th of a
-/// clock read, and under a manual clock the deltas are all zero, so the
-/// per-opcode hit counts stay bit-identical across worker counts.
-pub(crate) struct OpcodeProfiler {
-    hits: [u64; OPCODE_COUNT],
-    nanos: [u64; OPCODE_COUNT],
-    last_sample: u64,
-}
-
-pub(crate) const SAMPLE_MASK: u64 = 63;
-
-impl OpcodeProfiler {
-    pub(crate) fn new() -> OpcodeProfiler {
-        OpcodeProfiler {
-            hits: [0; OPCODE_COUNT],
-            nanos: [0; OPCODE_COUNT],
-            last_sample: jtelemetry::now_nanos(),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn step(&mut self, steps: u64, opcode: usize) {
-        self.hits[opcode] += 1;
-        if steps & SAMPLE_MASK == 0 {
-            let now = jtelemetry::now_nanos();
-            self.nanos[opcode] += now.saturating_sub(self.last_sample);
-            self.last_sample = now;
-        }
-    }
-
-    pub(crate) fn flush(&self) {
-        for (i, &name) in OPCODE_NAMES.iter().enumerate() {
-            if self.hits[i] > 0 {
-                jtelemetry::profile_opcode(name, self.hits[i], self.nanos[i]);
-            }
-        }
     }
 }
 

@@ -38,6 +38,7 @@ pub mod error;
 pub mod image;
 pub mod interp;
 pub mod ops;
+mod profile;
 mod slot;
 pub mod threaded;
 pub mod value;

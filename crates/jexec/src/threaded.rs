@@ -55,17 +55,14 @@
 use crate::code::{ArithOp, CmpOp, Code, Instr, MethodId};
 use crate::error::ExecError;
 use crate::image::{Fnv, Image};
-use crate::interp::{opcode_index, ExecConfig, ExecStats, OpcodeProfiler, Outcome, Profile};
+use crate::interp::{ExecConfig, ExecStats, Outcome, Profile};
+use crate::profile::{opcode_index, DispatchProfile};
 use crate::slot::{self, Slot, Tag, NULL};
 use crate::value::{ClassId, Heap, Value};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Opcode-array value for the pc sentinel: the interpreter errors on fetch,
-/// before profiler attribution, so the sentinel must not be profiled.
-const NO_OPCODE: u8 = u8::MAX;
 
 /// Missing entry in a per-class field-offset table.
 const NO_FIELD: u32 = u32::MAX;
@@ -135,8 +132,8 @@ enum Op {
     // accounts for the first constituent instruction and every further
     // one "ticks" fuel/steps/cancellation individually, so fuel
     // exhaustion, error timing, and watchdog polls are bit-identical to
-    // the unfused body. Profiled runs never execute these (the profiler
-    // attributes per original opcode, so they run the unfused twin).
+    // the unfused body. Profiled runs execute them too and attribute each
+    // dispatch through its composition (see [`ThreadedCode::comp`]).
     /// Two pushes: `Load`/`ConstVal`/`GetStatic` × 2.
     Push2 {
         a: Src,
@@ -226,8 +223,7 @@ enum Op {
     /// executed inline via the inlines table: no frame push, no code
     /// lookup, one dispatch for the call plus per-micro ticks for the
     /// callee's instructions — step accounting identical to the real
-    /// call. Fused bodies only; the unfused twin keeps the plain
-    /// [`Op::Invoke`] so profiled runs attribute callee opcodes normally.
+    /// call.
     InlineCall(u16),
 }
 
@@ -356,8 +352,7 @@ struct RCall {
     action: CallAction,
 }
 
-/// Resolution side tables, shared between a method's fused and unfused
-/// bodies (the fused body references the same call/field data).
+/// Resolution side tables of one method body.
 #[derive(Debug)]
 struct SideTables {
     fields: Box<[FieldTable]>,
@@ -369,22 +364,49 @@ struct SideTables {
 /// One method's lowered body plus its resolution side tables.
 #[derive(Debug)]
 pub struct ThreadedCode {
-    /// The ops array, ending in the pc-out-of-range sentinel. Unfused
-    /// bodies hold `instrs.len() + 1` ops; fused bodies fewer.
+    /// The ops array, ending in the pc-out-of-range sentinel. [`lower`]
+    /// emits `instrs.len() + 1` ops; [`fuse`] fewer.
     ops: Box<[Op]>,
-    /// Original opcode index per op, for `--profile` attribution.
-    /// Empty on fused bodies — profiled runs execute the unfused twin.
-    opcodes: Box<[u8]>,
+    /// The composition of every op, flat: the opcode indices of the
+    /// original instructions op `pc` stands for, in micro-step order, are
+    /// `comp[comp_off[pc]..comp_off[pc + 1]]`. Empty for the sentinel.
+    comp: Box<[u8]>,
+    comp_off: Box<[u32]>,
     n_locals: u16,
     max_stack: u16,
-    tables: Arc<SideTables>,
+    tables: SideTables,
     /// Inline-expanded leaf callees referenced by [`Op::InlineCall`].
-    /// Empty on unfused bodies.
     inlines: Box<[InlineInfo]>,
-    /// The unfused twin of a fused body (`None` when self is unfused).
-    /// Profiled runs execute it so per-opcode attribution, which samples
-    /// individual steps, sees every original instruction.
-    unfused: Option<Arc<ThreadedCode>>,
+}
+
+impl ThreadedCode {
+    /// Number of ops, sentinel included.
+    pub(crate) fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// The original opcodes op `pc` stands for, in micro-step order:
+    /// `--profile` credits each of them once per dispatch.
+    pub(crate) fn comp(&self, pc: usize) -> &[u8] {
+        &self.comp[self.comp_off[pc] as usize..self.comp_off[pc + 1] as usize]
+    }
+
+    /// The superinstruction kind of op `pc`, for the per-superinstruction
+    /// profile; `None` for a plain op.
+    pub(crate) fn superop_kind(&self, pc: usize) -> Option<&'static str> {
+        Some(match self.ops[pc] {
+            Op::Push2 { .. } => "Push2",
+            Op::Move { .. } => "Move",
+            Op::GetFieldL { .. } => "GetFieldL",
+            Op::Bin { .. } => "Bin",
+            Op::CmpBr { .. } => "CmpBr",
+            Op::JumpCmpBr { .. } => "JumpCmpBr",
+            Op::Chain3 { .. } => "Chain3",
+            Op::IncLatch { .. } => "IncLatch",
+            Op::InlineCall(_) => "InlineCall",
+            _ => return None,
+        })
+    }
 }
 
 /// Statistics of the process-wide code cache (for benches and debugging;
@@ -461,7 +483,7 @@ pub fn inline_total() -> u64 {
 /// tooling for inspecting what the fuser built; not a stable format).
 #[doc(hidden)]
 pub fn dump_fused(image: &Image, mid: MethodId) -> Vec<String> {
-    let tc = fuse(image, Arc::new(lower(image, mid)));
+    let tc = fuse(image, lower(image, mid));
     tc.ops.iter().map(|op| format!("{op:?}")).collect()
 }
 
@@ -509,9 +531,8 @@ fn lookup_or_lower(image: &Image, mid: MethodId) -> Arc<ThreadedCode> {
     CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
     // Lower outside the lock: lowering is a pure function of the key, so
     // racing writers insert interchangeable values and `or_insert` keeps
-    // the first. The cache stores the fused body; its unfused twin rides
-    // along inside for profiled runs.
-    let tc = Arc::new(fuse(image, Arc::new(lower(image, mid))));
+    // the first.
+    let tc = Arc::new(fuse(image, lower(image, mid)));
     let mut map = cache_write();
     if map.len() >= CACHE_CAP {
         map.clear();
@@ -815,7 +836,7 @@ fn lower(image: &Image, mid: MethodId) -> ThreadedCode {
     }
 
     let mut ops = Vec::with_capacity(n + 1);
-    let mut opcodes = Vec::with_capacity(n + 1);
+    let mut comp = Vec::with_capacity(n);
     let mut fields: Vec<FieldTable> = Vec::new();
     let mut field_ids: HashMap<&str, u16> = HashMap::new();
     let mut calls: Vec<CallInfo> = Vec::new();
@@ -826,7 +847,7 @@ fn lower(image: &Image, mid: MethodId) -> ThreadedCode {
     let clamp = |target: usize| -> u32 { target.min(n) as u32 };
 
     for (pc, instr) in code.instrs.iter().enumerate() {
-        opcodes.push(opcode_index(instr) as u8);
+        comp.push(opcode_index(instr) as u8);
         let op = match instr {
             Instr::ConstI(v) => Op::ConstVal(slot::pack(Value::Int(*v))),
             Instr::ConstL(v) => Op::ConstVal(slot::pack(Value::Long(*v))),
@@ -1007,37 +1028,40 @@ fn lower(image: &Image, mid: MethodId) -> ThreadedCode {
     }
     // Fetch sentinel: running past the end (or a wild jump) raises the
     // interpreter's "pc out of range" after fuel/step/cancel accounting but
-    // before profiler attribution.
+    // before profiler attribution, so its composition is empty.
     ops.push(Op::Corrupt(CorruptKind::Pc));
-    opcodes.push(NO_OPCODE);
+    let comp_off: Vec<u32> = (0..=n as u32).chain([n as u32]).collect();
 
     ThreadedCode {
         ops: ops.into_boxed_slice(),
-        opcodes: opcodes.into_boxed_slice(),
+        comp: comp.into_boxed_slice(),
+        comp_off: comp_off.into_boxed_slice(),
         n_locals: code.n_locals,
         // Recompute: hand-built code may understate its own metadata.
         max_stack: Code::compute_max_stack(&code.instrs),
-        tables: Arc::new(SideTables {
+        tables: SideTables {
             fields: fields.into_boxed_slice(),
             calls: calls.into_boxed_slice(),
             vcalls: vcalls.into_boxed_slice(),
             rcalls: rcalls.into_boxed_slice(),
-        }),
+        },
         inlines: Box::new([]),
-        unfused: None,
     }
 }
 
-/// Builds the fused body of an unfused lowering: maximal straight-line
+/// Builds the fused body of a [`lower`]ed one: maximal straight-line
 /// runs of fetch/arith/compare/store/branch ops collapse into the
 /// superinstructions at the tail of [`Op`], one dispatch each, and
 /// statically resolved calls to tiny leaves become [`Op::InlineCall`]s.
+/// Every fused op records its composition ([`ThreadedCode::comp`]).
 ///
 /// Groups never span a branch target (every target starts a group, so
 /// remapped jumps stay valid), and only ops already validated by
 /// [`lower`] participate — `Corrupt`/`HostPanic` ops are never folded.
-fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
-    let ops = &unfused.ops;
+fn fuse(image: &Image, lowered: ThreadedCode) -> ThreadedCode {
+    let ops = &lowered.ops;
+    // The lowered composition: one opcode per op, none for the sentinel.
+    let orig = &lowered.comp;
     let n = ops.len() - 1; // exclude the pc sentinel
     let mut is_target = vec![false; n + 1];
     for op in ops.iter() {
@@ -1082,6 +1106,7 @@ fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
     };
 
     let mut fused: Vec<Op> = Vec::with_capacity(n + 1);
+    let mut comps: Vec<Vec<u8>> = Vec::with_capacity(n + 1);
     let mut orig_to_fused = vec![u32::MAX; n + 1];
     let mut i = 0usize;
     while i < n {
@@ -1306,10 +1331,12 @@ fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
             (ops[i], 1)
         };
         fused.push(op);
+        comps.push(orig[i..i + k].to_vec());
         i += k;
     }
     orig_to_fused[n] = fused.len() as u32;
     fused.push(Op::Corrupt(CorruptKind::Pc));
+    comps.push(Vec::new());
 
     // Remap branch targets into fused index space. Every target is a
     // group start (the fuser never consumes a targeted op mid-group).
@@ -1366,6 +1393,7 @@ fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
                     exit,
                     fall: target + 1,
                 };
+                comps[j] = [&comps[j][..], &comps[j + 1], &comps[target as usize]].concat();
             }
         }
     }
@@ -1397,26 +1425,28 @@ fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
                     exit,
                     fall: target + 1,
                 };
+                comps[j] = [&comps[j][..], &comps[target as usize]].concat();
             }
         }
     }
 
     // Leaf-call inlining: a statically resolved `Invoke` of a tiny
     // straight-line callee executes the callee's micro-ops in place —
-    // no frame push, no per-call code lookup. Fused bodies only; the
-    // unfused twin keeps the plain `Invoke` so profiled runs attribute
-    // the callee's opcodes individually. The code-cache key covers the
-    // callee fingerprints (see [`lookup_or_lower`]), so `install_code`
-    // on the callee invalidates this body.
+    // no frame push, no per-call code lookup. The composition gains the
+    // callee's instructions up to its return. The code-cache key covers
+    // the callee fingerprints (see [`lookup_or_lower`]), so
+    // `install_code` on the callee invalidates this body.
     let mut inlines: Vec<InlineInfo> = Vec::new();
-    for op in &mut fused {
+    for (op, comp) in fused.iter_mut().zip(&mut comps) {
         if let Op::Invoke(ci) = op {
-            let info = &unfused.tables.calls[*ci as usize];
+            let info = &lowered.tables.calls[*ci as usize];
             if let CallAction::Goto { mid, needs_recv } = &info.action {
                 if info.pops_recv == *needs_recv && inlines.len() < u16::MAX as usize {
                     if let Some(inl) =
                         build_leaf_inline(image, *mid as usize, info.argc, *needs_recv)
                     {
+                        let leaf = &image.methods[*mid as usize].code.instrs[..inl.body.len()];
+                        comp.extend(leaf.iter().map(|instr| opcode_index(instr) as u8));
                         inlines.push(inl);
                         *op = Op::InlineCall((inlines.len() - 1) as u16);
                     }
@@ -1425,14 +1455,19 @@ fn fuse(image: &Image, unfused: Arc<ThreadedCode>) -> ThreadedCode {
         }
     }
 
+    let mut comp_off = Vec::with_capacity(comps.len() + 1);
+    comp_off.push(0u32);
+    for comp in &comps {
+        comp_off.push(comp_off[comp_off.len() - 1] + comp.len() as u32);
+    }
     ThreadedCode {
         ops: fused.into_boxed_slice(),
-        opcodes: Box::new([]),
-        n_locals: unfused.n_locals,
-        max_stack: unfused.max_stack,
-        tables: Arc::clone(&unfused.tables),
+        comp: comps.concat().into_boxed_slice(),
+        comp_off: comp_off.into_boxed_slice(),
+        n_locals: lowered.n_locals,
+        max_stack: lowered.max_stack,
+        tables: lowered.tables,
         inlines: inlines.into_boxed_slice(),
-        unfused: Some(unfused),
     }
 }
 
@@ -1651,7 +1686,8 @@ struct TMachine<'i> {
     stats: ExecStats,
     profile: Profile,
     output: Vec<String>,
-    profiler: Option<OpcodeProfiler>,
+    /// `--profile` counters; `None` when the session does not profile.
+    prof: Option<DispatchProfile>,
     /// Per-execution memo of cache lookups (one per method, first call).
     lowered: Vec<Option<Arc<ThreadedCode>>>,
     /// Leaf calls executed inline this run (drained into the thread-local
@@ -1685,7 +1721,7 @@ pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
             backedges: vec![0; image.methods.len()],
         },
         output: Vec::new(),
-        profiler: jtelemetry::profiling().then(OpcodeProfiler::new),
+        prof: jtelemetry::profiling().then(|| DispatchProfile::new(image.methods.len())),
         lowered: vec![None; image.methods.len()],
         inlined: 0,
     };
@@ -1710,8 +1746,8 @@ pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
     jtelemetry::count(jtelemetry::Counter::InterpSteps, machine.stats.steps);
     INLINE_LOG.with(|c| c.set(c.get() + machine.inlined));
     INLINE_TOTAL.fetch_add(machine.inlined, Ordering::Relaxed);
-    if let Some(profiler) = &machine.profiler {
-        profiler.flush();
+    if let Some(prof) = &machine.prof {
+        prof.flush(&machine.lowered, machine.stats.steps);
     }
     Outcome {
         output: machine.output,
@@ -1727,14 +1763,6 @@ impl<'i> TMachine<'i> {
             return Arc::clone(tc);
         }
         let tc = lookup_or_lower(self.image, mid);
-        // Profiled runs execute the unfused twin: opcode attribution
-        // samples individual steps, so every original instruction must
-        // dispatch individually. Unprofiled runs get the fused body.
-        let tc = if self.profiler.is_some() {
-            tc.unfused.clone().unwrap_or(tc)
-        } else {
-            tc
-        };
         self.lowered[mid] = Some(Arc::clone(&tc));
         tc
     }
@@ -1742,8 +1770,8 @@ impl<'i> TMachine<'i> {
     fn run_from(&mut self, main: MethodId) -> Result<(), ExecError> {
         // Monomorphize the dispatch loop on "is a profiler attached":
         // the unprofiled instantiation (the fuzzing hot path) carries no
-        // per-dispatch profiler check at all.
-        if self.profiler.is_some() {
+        // per-dispatch profiler check at all. Both run the fused body.
+        if self.prof.is_some() {
             self.run_from_inner::<true>(main)
         } else {
             self.run_from_inner::<false>(main)
@@ -1770,6 +1798,19 @@ impl<'i> TMachine<'i> {
             self.regs.set(i, NULL);
         }
         let mut saved: Vec<SavedFrame> = Vec::with_capacity(16);
+        // First `--profile` counter of the current method's ops.
+        let mut hbase = 0usize;
+        /// Points `hbase` at method `$mid`'s counters (profiled only).
+        macro_rules! rebase {
+            ($mid:expr, $code:expr) => {
+                if PROFILED {
+                    if let Some(prof) = &mut self.prof {
+                        hbase = prof.base($mid, $code.len());
+                    }
+                }
+            };
+        }
+        rebase!(main, cur_code);
         // Fuel and step counters live in locals for the whole dispatch
         // loop: routing them through `self` costs a serialized memory
         // round-trip per dispatch. Every exit from the loop (including
@@ -1800,11 +1841,11 @@ impl<'i> TMachine<'i> {
             }};
         }
 
-        /// One additional micro-step inside a superinstruction: exactly
-        /// the per-step accounting the unfused loop performs (fuel gate,
-        /// step count, watchdog poll cadence), so fused execution is
-        /// step-exact. Profiler attribution is absent by construction —
-        /// profiled runs execute the unfused twin.
+        /// One micro-step: exactly the per-step accounting the
+        /// interpreter performs (fuel gate, step count, watchdog poll
+        /// cadence), so fused execution is step-exact. Every plain arm
+        /// starts with one; superinstruction arms tick through
+        /// [`batched!`] and [`mtick!`].
         macro_rules! tick {
             () => {
                 if fuel == 0 {
@@ -1847,6 +1888,46 @@ impl<'i> TMachine<'i> {
             };
         }
 
+        /// Returns error `$e` from a [`batched!`] arm, first rolling back
+        /// the `$over` micro-steps the batch accounted past the failing
+        /// one, so the step count (and with it fuel, the cancellation
+        /// poll and `--profile` attribution of a cut-short group) is
+        /// exactly the interpreter's.
+        macro_rules! bail {
+            ($fast:ident, $over:expr, $e:expr) => {{
+                if $fast {
+                    fuel += $over;
+                    steps -= $over;
+                }
+                return Err($e);
+            }};
+        }
+
+        /// `$r?` inside a [`batched!`] arm, via [`bail!`].
+        macro_rules! btry {
+            ($fast:ident, $over:expr, $r:expr) => {
+                match $r {
+                    Ok(v) => v,
+                    Err(e) => bail!($fast, $over, e),
+                }
+            };
+        }
+
+        /// A stack pop inside a [`batched!`] arm, via [`bail!`].
+        macro_rules! bpop {
+            ($fast:ident, $over:expr) => {{
+                if sp == floor {
+                    bail!(
+                        $fast,
+                        $over,
+                        ExecError::VmCorrupt("operand stack underflow")
+                    );
+                }
+                sp -= 1;
+                self.regs.get(sp)
+            }};
+        }
+
         /// Fetches a fused operand. `Stack` pops — underflow raises the
         /// interpreter's exact corruption error.
         macro_rules! fetch {
@@ -1856,6 +1937,51 @@ impl<'i> TMachine<'i> {
                     Src::Const(v) => *v,
                     Src::Static(s) => self.statics.get(*s as usize),
                     Src::Stack => pop!(),
+                }
+            };
+        }
+
+        /// The operand pair of a fused arith or compare, ticking each
+        /// fetch after the first micro-step. Operand order mirrors the
+        /// lowered sequence: `a` was fetched (or pushed) first, so with
+        /// one fused fetch the stack holds `a` and the fetch is `b`. An
+        /// underflow rolls back `$over` (see [`bpop!`]).
+        macro_rules! operands {
+            ($a:expr, $b:expr, $fast:ident, $over:expr) => {
+                match ($a, $b) {
+                    (Src::Stack, Src::Stack) => {
+                        let bv = bpop!($fast, $over);
+                        (bpop!($fast, $over), bv)
+                    }
+                    (Src::Stack, bsrc) => {
+                        let bv = fetch!(bsrc);
+                        mtick!($fast);
+                        (bpop!($fast, $over), bv)
+                    }
+                    (asrc, bsrc) => {
+                        let av = fetch!(asrc);
+                        mtick!($fast);
+                        let bv = fetch!(bsrc);
+                        mtick!($fast);
+                        (av, bv)
+                    }
+                }
+            };
+        }
+
+        /// Stores a fused result; a non-push sink is one more micro-step.
+        macro_rules! sink {
+            ($sink:expr, $fast:ident, $v:expr) => {
+                match $sink {
+                    Sink::Push => push!($v),
+                    Sink::Local(s) => {
+                        mtick!($fast);
+                        self.regs.set(base + *s as usize, $v);
+                    }
+                    Sink::Static(s) => {
+                        mtick!($fast);
+                        self.statics.set(*s as usize, $v);
+                    }
                 }
             };
         }
@@ -1932,6 +2058,7 @@ impl<'i> TMachine<'i> {
                 for i in (cbase + argn + usize::from(has_recv))..cfloor {
                     self.regs.set(i, NULL);
                 }
+                rebase!(mid, callee);
                 saved.push(SavedFrame {
                     code: std::mem::replace(&mut cur_code, callee),
                     mid: cur_mid,
@@ -1957,6 +2084,7 @@ impl<'i> TMachine<'i> {
                     Some(f) => {
                         cur_code = f.code;
                         cur_mid = f.mid;
+                        rebase!(cur_mid, cur_code);
                         pc = f.pc;
                         base = f.base;
                         floor = f.floor;
@@ -1967,26 +2095,6 @@ impl<'i> TMachine<'i> {
                     None => return Ok(()),
                 }
             }};
-        }
-
-        /// Per-dispatch prologue of every *plain* (unfused) arm: one
-        /// tick plus, in the `PROFILED` instantiation, per-opcode
-        /// attribution. Superinstruction arms account their whole width
-        /// through [`batched!`] instead and never run profiled (the
-        /// profiler executes the unfused twin), so the profiler check
-        /// vanishes from the unprofiled instantiation entirely.
-        macro_rules! pro {
-            () => {
-                tick!();
-                if PROFILED {
-                    if let Some(profiler) = &mut self.profiler {
-                        let idx = cur_code.opcodes[pc];
-                        if idx != NO_OPCODE {
-                            profiler.step(steps, idx as usize);
-                        }
-                    }
-                }
-            };
         }
 
         let mut dispatch = || -> Result<(), ExecError> {
@@ -2008,23 +2116,30 @@ impl<'i> TMachine<'i> {
                     // `pc += 1` from a non-sentinel op lands at most on the
                     // sentinel, which returns before the next fetch.
                     let cur_op = unsafe { ops.get_unchecked(pc) };
+                    // One hit per dispatch, plain or fused; the run's
+                    // end expands hits through each op's composition.
+                    if PROFILED {
+                        if let Some(prof) = &mut self.prof {
+                            prof.dispatch(hbase + pc, steps);
+                        }
+                    }
                     match cur_op {
                         Op::ConstVal(v) => {
-                            pro!();
+                            tick!();
                             push!(*v);
                         }
                         Op::Load(s) => {
-                            pro!();
+                            tick!();
                             let v = self.regs.get(base + *s as usize);
                             push!(v);
                         }
                         Op::Store(s) => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             self.regs.set(base + *s as usize, v);
                         }
                         Op::GetField(fi) => {
-                            pro!();
+                            tick!();
                             let obj = pop!();
                             match obj.tag {
                                 Tag::Null => return Err(ExecError::NullReference),
@@ -2052,7 +2167,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::PutField(fi) => {
-                            pro!();
+                            tick!();
                             let value = pop!();
                             let obj = pop!();
                             match obj.tag {
@@ -2081,51 +2196,51 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::GetStatic(si) => {
-                            pro!();
+                            tick!();
                             let v = self.statics.get(*si as usize);
                             push!(v);
                         }
                         Op::PutStatic(si) => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             self.statics.set(*si as usize, v);
                         }
                         Op::Arith(op) => {
-                            pro!();
+                            tick!();
                             let b = pop!();
                             let a = pop!();
                             push!(slot::arith(*op, a, b)?);
                         }
                         Op::ArithII(op) => {
-                            pro!();
+                            tick!();
                             let b = pop!();
                             let a = pop!();
                             push!(slot_arith!(*op, true, a, b)?);
                         }
                         Op::Cmp(op) => {
-                            pro!();
+                            tick!();
                             let b = pop!();
                             let a = pop!();
                             push!(slot::compare(*op, a, b)?);
                         }
                         Op::CmpII(op) => {
-                            pro!();
+                            tick!();
                             let b = pop!();
                             let a = pop!();
                             push!(slot_cmp!(*op, true, a, b)?);
                         }
                         Op::Neg => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             push!(slot::negate(v)?);
                         }
                         Op::Not => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             push!(slot::boolean_not(v)?);
                         }
                         Op::Jump { target, backedge } => {
-                            pro!();
+                            tick!();
                             if *backedge {
                                 self.profile.backedges[cur_mid] += 1;
                             }
@@ -2133,7 +2248,7 @@ impl<'i> TMachine<'i> {
                             continue;
                         }
                         Op::JumpIfFalse(target) => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             if v.tag != Tag::Bool {
                                 return Err(ExecError::TypeMismatch("branch on non-boolean"));
@@ -2144,7 +2259,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::Invoke(ci) => {
-                            pro!();
+                            tick!();
                             let info = &cur_code.tables.calls[*ci as usize];
                             let argn = info.argc as usize;
                             if sp - floor < argn {
@@ -2172,7 +2287,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::InvokeVirtual(vi) => {
-                            pro!();
+                            tick!();
                             let vc = &cur_code.tables.vcalls[*vi as usize];
                             let argn = vc.argc as usize;
                             if sp - floor < argn + 1 {
@@ -2198,7 +2313,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::InvokeReflect(ri) => {
-                            pro!();
+                            tick!();
                             self.stats.reflective_calls += 1;
                             let rc = &cur_code.tables.rcalls[*ri as usize];
                             let argn = rc.argc as usize;
@@ -2224,7 +2339,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::New(cid) => {
-                            pro!();
+                            tick!();
                             self.stats.allocations += 1;
                             let defaults = self.image.classes[*cid as usize].field_defaults();
                             let oid = self.heap.alloc(*cid as usize, defaults);
@@ -2234,7 +2349,7 @@ impl<'i> TMachine<'i> {
                             });
                         }
                         Op::BoxInt => {
-                            pro!();
+                            tick!();
                             self.stats.boxes += 1;
                             let v = pop!();
                             match v.tag {
@@ -2246,7 +2361,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::UnboxInt => {
-                            pro!();
+                            tick!();
                             self.stats.unboxes += 1;
                             let v = pop!();
                             match v.tag {
@@ -2259,7 +2374,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::MonitorEnter => {
-                            pro!();
+                            tick!();
                             self.stats.monitor_enters += 1;
                             let v = pop!();
                             match v.tag {
@@ -2275,7 +2390,7 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::MonitorExit => {
-                            pro!();
+                            tick!();
                             self.stats.monitor_exits += 1;
                             let v = pop!();
                             match v.tag {
@@ -2294,17 +2409,17 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::Print => {
-                            pro!();
+                            tick!();
                             self.stats.prints += 1;
                             let v = pop!();
                             self.output.push(slot::unpack(v).to_string());
                         }
                         Op::Pop => {
-                            pro!();
+                            tick!();
                             let _ = pop!();
                         }
                         Op::Dup => {
-                            pro!();
+                            tick!();
                             if sp == floor {
                                 return Err(ExecError::VmCorrupt("operand stack underflow"));
                             }
@@ -2312,12 +2427,12 @@ impl<'i> TMachine<'i> {
                             push!(v);
                         }
                         Op::ReturnV => {
-                            pro!();
+                            tick!();
                             let v = pop!();
                             ret!('frame, v)
                         }
                         Op::Return => {
-                            pro!();
+                            tick!();
                             ret!('frame, NULL);
                         }
                         // ---- superinstructions ----
@@ -2378,60 +2493,13 @@ impl<'i> TMachine<'i> {
                             }
                         }
                         Op::Bin { op, ii, a, b, sink } => {
-                            // Full micro width: fetches, the arith, and a
-                            // non-push sink.
+                            // Micro order: the fused fetches, the arith, a non-push sink.
                             let sinkbit = u64::from(!matches!(sink, Sink::Push));
-                            let width = match (a, b) {
-                                (Src::Stack, Src::Stack) => 1,
-                                (Src::Stack, _) => 2,
-                                _ => 3,
-                            } + sinkbit;
-                            batched!(width, fast);
+                            batched!(1 + fetches(a, b) + sinkbit, fast);
                             mtick!(fast);
-                            // Operand order mirrors the unfused sequence: `a`
-                            // was fetched (or pushed) first. With a single fused
-                            // fetch the stack holds `a` and the fetch is `b`.
-                            let (av, bv) = match (a, b) {
-                                (Src::Stack, Src::Stack) => {
-                                    let bv = pop!();
-                                    (pop!(), bv)
-                                }
-                                (Src::Stack, bsrc) => {
-                                    let bv = fetch!(bsrc);
-                                    mtick!(fast);
-                                    (pop!(), bv)
-                                }
-                                (asrc, bsrc) => {
-                                    let av = fetch!(asrc);
-                                    mtick!(fast);
-                                    let bv = fetch!(bsrc);
-                                    mtick!(fast);
-                                    (av, bv)
-                                }
-                            };
-                            let res = match slot_arith!(*op, *ii, av, bv) {
-                                Ok(v) => v,
-                                Err(e) => {
-                                    // Batched accounting overshot the sink micro
-                                    // the unfused loop never reaches.
-                                    if fast {
-                                        fuel += sinkbit;
-                                        steps -= sinkbit;
-                                    }
-                                    return Err(e);
-                                }
-                            };
-                            match sink {
-                                Sink::Push => push!(res),
-                                Sink::Local(s) => {
-                                    mtick!(fast);
-                                    self.regs.set(base + *s as usize, res);
-                                }
-                                Sink::Static(s) => {
-                                    mtick!(fast);
-                                    self.statics.set(*s as usize, res);
-                                }
-                            }
+                            let (av, bv) = operands!(a, b, fast, sinkbit);
+                            let res = btry!(fast, sinkbit, slot_arith!(*op, *ii, av, bv));
+                            sink!(sink, fast, res);
                         }
                         Op::CmpBr {
                             op,
@@ -2440,41 +2508,10 @@ impl<'i> TMachine<'i> {
                             b,
                             target,
                         } => {
-                            let width = match (a, b) {
-                                (Src::Stack, Src::Stack) => 2,
-                                (Src::Stack, _) => 3,
-                                _ => 4,
-                            };
-                            batched!(width, fast);
+                            batched!(2 + fetches(a, b), fast);
                             mtick!(fast);
-                            let (av, bv) = match (a, b) {
-                                (Src::Stack, Src::Stack) => {
-                                    let bv = pop!();
-                                    (pop!(), bv)
-                                }
-                                (Src::Stack, bsrc) => {
-                                    let bv = fetch!(bsrc);
-                                    mtick!(fast);
-                                    (pop!(), bv)
-                                }
-                                (asrc, bsrc) => {
-                                    let av = fetch!(asrc);
-                                    mtick!(fast);
-                                    let bv = fetch!(bsrc);
-                                    mtick!(fast);
-                                    (av, bv)
-                                }
-                            };
-                            let res = match slot_cmp!(*op, *ii, av, bv) {
-                                Ok(v) => v,
-                                Err(e) => {
-                                    if fast {
-                                        fuel += 1;
-                                        steps -= 1;
-                                    }
-                                    return Err(e);
-                                }
-                            };
+                            let (av, bv) = operands!(a, b, fast, 1);
+                            let res = btry!(fast, 1, slot_cmp!(*op, *ii, av, bv));
                             mtick!(fast);
                             // `compare` only ever yields a boolean.
                             debug_assert_eq!(res.tag, Tag::Bool);
@@ -2494,45 +2531,12 @@ impl<'i> TMachine<'i> {
                             // The fused loop latch: the backward `Jump` (the
                             // first micro, which counts the backedge) plus the
                             // `CmpBr` group it lands on.
-                            let width = match (a, b) {
-                                (Src::Stack, Src::Stack) => 3,
-                                (Src::Stack, _) => 4,
-                                _ => 5,
-                            };
-                            batched!(width, fast);
+                            batched!(3 + fetches(a, b), fast);
                             mtick!(fast);
                             self.profile.backedges[cur_mid] += 1;
-                            let (av, bv) = match (a, b) {
-                                (Src::Stack, Src::Stack) => {
-                                    mtick!(fast);
-                                    let bv = pop!();
-                                    (pop!(), bv)
-                                }
-                                (Src::Stack, bsrc) => {
-                                    mtick!(fast);
-                                    let bv = fetch!(bsrc);
-                                    mtick!(fast);
-                                    (pop!(), bv)
-                                }
-                                (asrc, bsrc) => {
-                                    mtick!(fast);
-                                    let av = fetch!(asrc);
-                                    mtick!(fast);
-                                    let bv = fetch!(bsrc);
-                                    mtick!(fast);
-                                    (av, bv)
-                                }
-                            };
-                            let res = match slot_cmp!(*op, *ii, av, bv) {
-                                Ok(v) => v,
-                                Err(e) => {
-                                    if fast {
-                                        fuel += 1;
-                                        steps -= 1;
-                                    }
-                                    return Err(e);
-                                }
-                            };
+                            mtick!(fast);
+                            let (av, bv) = operands!(a, b, fast, 1);
+                            let res = btry!(fast, 1, slot_cmp!(*op, *ii, av, bv));
                             mtick!(fast);
                             debug_assert_eq!(res.tag, Tag::Bool);
                             pc = if res.bits == 0 {
@@ -2564,65 +2568,19 @@ impl<'i> TMachine<'i> {
                                 mtick!(fast);
                                 let cv = fetch!(c);
                                 mtick!(fast);
-                                let r1 = match slot_arith!(*op1, *ii1, bv, cv) {
-                                    Ok(v) => v,
-                                    Err(e) => {
-                                        if fast {
-                                            fuel += 1 + sinkbit;
-                                            steps -= 1 + sinkbit;
-                                        }
-                                        return Err(e);
-                                    }
-                                };
+                                let r1 = btry!(fast, 1 + sinkbit, slot_arith!(*op1, *ii1, bv, cv));
                                 mtick!(fast);
-                                match slot_arith!(*op2, *ii2, av, r1) {
-                                    Ok(v) => v,
-                                    Err(e) => {
-                                        if fast {
-                                            fuel += sinkbit;
-                                            steps -= sinkbit;
-                                        }
-                                        return Err(e);
-                                    }
-                                }
+                                btry!(fast, sinkbit, slot_arith!(*op2, *ii2, av, r1))
                             } else {
                                 // `(a op1 b) op2 c` — micro order a b op1 c op2.
                                 mtick!(fast);
-                                let r1 = match slot_arith!(*op1, *ii1, av, bv) {
-                                    Ok(v) => v,
-                                    Err(e) => {
-                                        if fast {
-                                            fuel += 2 + sinkbit;
-                                            steps -= 2 + sinkbit;
-                                        }
-                                        return Err(e);
-                                    }
-                                };
+                                let r1 = btry!(fast, 2 + sinkbit, slot_arith!(*op1, *ii1, av, bv));
                                 mtick!(fast);
                                 let cv = fetch!(c);
                                 mtick!(fast);
-                                match slot_arith!(*op2, *ii2, r1, cv) {
-                                    Ok(v) => v,
-                                    Err(e) => {
-                                        if fast {
-                                            fuel += sinkbit;
-                                            steps -= sinkbit;
-                                        }
-                                        return Err(e);
-                                    }
-                                }
+                                btry!(fast, sinkbit, slot_arith!(*op2, *ii2, r1, cv))
                             };
-                            match sink {
-                                Sink::Push => push!(res),
-                                Sink::Local(s) => {
-                                    mtick!(fast);
-                                    self.regs.set(base + *s as usize, res);
-                                }
-                                Sink::Static(s) => {
-                                    mtick!(fast);
-                                    self.statics.set(*s as usize, res);
-                                }
-                            }
+                            sink!(sink, fast, res);
                         }
                         Op::IncLatch {
                             iop,
@@ -2639,61 +2597,20 @@ impl<'i> TMachine<'i> {
                         } => {
                             // Micro order: load-islot const arith store jump
                             // [fetch ca] [fetch cb] cmp br.
-                            let nf = match (ca, cb) {
-                                (Src::Stack, Src::Stack) => 0u64,
-                                (Src::Stack, _) => 1,
-                                _ => 2,
-                            };
+                            let nf = fetches(ca, cb);
                             batched!(7 + nf, fast);
                             mtick!(fast);
                             let av = self.regs.get(base + *islot as usize);
                             mtick!(fast);
                             mtick!(fast);
-                            let r = match slot_arith!(*iop, *iop_ii, av, *ic) {
-                                Ok(v) => v,
-                                Err(e) => {
-                                    if fast {
-                                        fuel += 4 + nf;
-                                        steps -= 4 + nf;
-                                    }
-                                    return Err(e);
-                                }
-                            };
+                            let r = btry!(fast, 4 + nf, slot_arith!(*iop, *iop_ii, av, *ic));
                             mtick!(fast);
                             self.regs.set(base + *dst as usize, r);
                             mtick!(fast);
                             self.profile.backedges[cur_mid] += 1;
-                            let (cav, cbv) = match (ca, cb) {
-                                (Src::Stack, Src::Stack) => {
-                                    mtick!(fast);
-                                    let bv = pop!();
-                                    (pop!(), bv)
-                                }
-                                (Src::Stack, bsrc) => {
-                                    mtick!(fast);
-                                    let bv = fetch!(bsrc);
-                                    mtick!(fast);
-                                    (pop!(), bv)
-                                }
-                                (asrc, bsrc) => {
-                                    mtick!(fast);
-                                    let cav = fetch!(asrc);
-                                    mtick!(fast);
-                                    let cbv = fetch!(bsrc);
-                                    mtick!(fast);
-                                    (cav, cbv)
-                                }
-                            };
-                            let res = match slot_cmp!(*cop, *cop_ii, cav, cbv) {
-                                Ok(v) => v,
-                                Err(e) => {
-                                    if fast {
-                                        fuel += 1;
-                                        steps -= 1;
-                                    }
-                                    return Err(e);
-                                }
-                            };
+                            mtick!(fast);
+                            let (cav, cbv) = operands!(ca, cb, fast, 1);
+                            let res = btry!(fast, 1, slot_cmp!(*cop, *cop_ii, cav, cbv));
                             mtick!(fast);
                             debug_assert_eq!(res.tag, Tag::Bool);
                             pc = if res.bits == 0 {
@@ -2708,7 +2625,7 @@ impl<'i> TMachine<'i> {
                             // then the callee's straight-line body with
                             // per-micro accounting — step-identical to the
                             // real call, minus the frame push.
-                            pro!();
+                            tick!();
                             let info = &cur_code.inlines[*ix as usize];
                             let argn = info.argc as usize;
                             let pops = argn + usize::from(info.recv);
@@ -2742,14 +2659,9 @@ impl<'i> TMachine<'i> {
                             /// Mid-body error exit: rolls back the batched
                             /// overshoot for the micros never reached.
                             macro_rules! ierr {
-                                ($e:expr) => {{
-                                    if fast {
-                                        let over = total - done;
-                                        fuel += over;
-                                        steps -= over;
-                                    }
-                                    return Err($e);
-                                }};
+                                ($e:expr) => {
+                                    bail!(fast, total - done, $e)
+                                };
                             }
                             macro_rules! ipop {
                                 () => {{
@@ -2837,11 +2749,11 @@ impl<'i> TMachine<'i> {
                             push!(retv);
                         }
                         Op::Corrupt(kind) => {
-                            pro!();
+                            tick!();
                             return Err(ExecError::VmCorrupt(kind.msg()));
                         }
                         Op::HostPanic(what) => {
-                            pro!();
+                            tick!();
                             match what {
                                 BadRef::Method => panic!("invalid method id in hand-built code"),
                                 BadRef::Class => panic!("invalid class id in hand-built code"),
@@ -2856,6 +2768,16 @@ impl<'i> TMachine<'i> {
         self.fuel = fuel;
         self.stats.steps = steps;
         result
+    }
+}
+
+/// Fused fetch micro-steps of an operand pair (`Src::Stack` operands
+/// were pushed by earlier ops).
+fn fetches(a: &Src, b: &Src) -> u64 {
+    match (a, b) {
+        (Src::Stack, Src::Stack) => 0,
+        (Src::Stack, _) => 1,
+        _ => 2,
     }
 }
 
@@ -3060,6 +2982,14 @@ mod tests {
             let snap = jtelemetry::take().unwrap().snapshot();
             let total: u64 = snap.opcodes.iter().map(|op| op.hits).sum();
             assert_eq!(total, o.stats.steps, "every step lands on one opcode");
+            // The profiled threaded run executes the fused body: the leaf
+            // call is inlined and the loop latch is one dispatch.
+            let kinds: Vec<&str> = snap.superops.iter().map(|s| s.kind.as_str()).collect();
+            if threaded {
+                assert!(kinds.contains(&"InlineCall") && kinds.contains(&"IncLatch"));
+            } else {
+                assert!(kinds.is_empty(), "the interpreter has no superinstructions");
+            }
             snaps.push(snap.opcodes);
         }
         assert_eq!(snaps[0], snaps[1], "per-opcode tables must be identical");

@@ -15,8 +15,9 @@
 //! * worker idle and speculation-waste attribution from the
 //!   scheduler lane (wall-clock runs only — the lane is empty under a
 //!   manual clock);
-//! * the top-N hot opcodes, when a `--profile` metrics JSONL stream is
-//!   supplied alongside.
+//! * the top-N hot opcodes and the top-N superinstructions (the threaded
+//!   substrate's fused ops, each with its composition), when a
+//!   `--profile` metrics JSONL stream is supplied alongside.
 
 use jtelemetry::schema::{parse_json, validate_trace, Json};
 use std::collections::BTreeMap;
@@ -289,6 +290,41 @@ fn report(trace_text: &str, metrics_text: Option<&str>, top: usize) -> Result<St
                 ));
             }
         }
+        let mut superops: Vec<(String, u64, u64)> = match snap.get("superops") {
+            Some(Json::Arr(items)) => items
+                .iter()
+                .map(|s| {
+                    let mut label = match s.get("kind") {
+                        Some(Json::Str(k)) => k.clone(),
+                        _ => String::new(),
+                    };
+                    if let Some(Json::Arr(comp)) = s.get("comp") {
+                        let names: Vec<&str> = comp
+                            .iter()
+                            .filter_map(|c| match c {
+                                Json::Str(n) => Some(n.as_str()),
+                                _ => None,
+                            })
+                            .collect();
+                        label = format!("{label} [{}]", names.join(" "));
+                    }
+                    (label, num(s, "hits"), num(s, "nanos"))
+                })
+                .collect(),
+            _ => Vec::new(),
+        };
+        if !superops.is_empty() {
+            superops.sort_by(|a, b| b.2.cmp(&a.2).then(b.1.cmp(&a.1)));
+            let total_nanos: u64 = superops.iter().map(|s| s.2).sum();
+            out.push_str(&format!("top {top} superinstructions by sampled time:\n"));
+            for (label, hits, nanos) in superops.iter().take(top) {
+                out.push_str(&format!(
+                    "  {:>10} ({:>5.1}%)  {hits:>12} dispatches  {label}\n",
+                    fmt_wall(*nanos),
+                    pct(*nanos, total_nanos),
+                ));
+            }
+        }
     }
     Ok(out)
 }
@@ -380,6 +416,7 @@ mod tests {
         }
         jtelemetry::profile_opcode("Arith", 500, 900);
         jtelemetry::profile_opcode("Load", 100, 100);
+        jtelemetry::profile_superop("IncLatch", &["Load", "ConstI", "Arith", "Store"], 40, 70);
         let session = jtelemetry::take().unwrap();
         let trace = jtelemetry::export::trace_json(&session, &[("jobs", "1".to_string())]).unwrap();
         let metrics = jtelemetry::export::jsonl_line(&session.snapshot());
@@ -391,6 +428,11 @@ mod tests {
         assert!(text.contains("differential"), "{text}");
         assert!(text.contains("top 10 opcodes"), "{text}");
         assert!(text.contains("Arith"), "{text}");
+        assert!(text.contains("top 10 superinstructions"), "{text}");
+        assert!(
+            text.contains("IncLatch [Load ConstI Arith Store]"),
+            "{text}"
+        );
         assert!(text.contains("scheduler lane: empty"), "{text}");
     }
 

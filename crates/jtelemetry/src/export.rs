@@ -113,6 +113,22 @@ pub fn jsonl_line(snap: &MetricsSnapshot) -> String {
         escape_json(&o.name, &mut out);
         out.push_str(&format!(",\"hits\":{},\"nanos\":{}}}", o.hits, o.nanos));
     }
+    out.push_str("],\"superops\":[");
+    for (i, s) in snap.superops.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"kind\":");
+        escape_json(&s.kind, &mut out);
+        out.push_str(",\"comp\":[");
+        for (j, name) in s.comp.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            escape_json(name, &mut out);
+        }
+        out.push_str(&format!("],\"hits\":{},\"nanos\":{}}}", s.hits, s.nanos));
+    }
     out.push_str("]}");
     out
 }
@@ -515,6 +531,20 @@ pub fn human_report(snap: &MetricsSnapshot) -> String {
             ));
         }
     }
+    if !snap.superops.is_empty() {
+        let mut superops = snap.superops.clone();
+        superops.sort_by(|a, b| b.nanos.cmp(&a.nanos).then(b.hits.cmp(&a.hits)));
+        out.push_str("top superinstructions by sampled time:\n");
+        for s in superops.iter().take(10) {
+            out.push_str(&format!(
+                "  {:<10} {:>10} sampled  {:>12} hits  {}\n",
+                s.kind,
+                fmt_duration(s.nanos),
+                s.hits,
+                s.comp.join(" "),
+            ));
+        }
+    }
     out
 }
 
@@ -633,10 +663,14 @@ mod tests {
         crate::install(Session::new().with_profile());
         crate::profile_opcode("Arith", 12, 3400);
         crate::profile_opcode("Load\"x\"", 7, 100);
+        crate::profile_superop("Bin", &["Load", "ConstI", "Arith"], 5, 60);
         let snap = crate::take().unwrap().snapshot();
         let line = jsonl_line(&snap);
         crate::schema::validate_snapshot_line(&line).expect("line validates");
         assert!(line.contains("\"opcodes\":[{\"name\":\"Arith\",\"hits\":12,\"nanos\":3400}"));
+        assert!(line.contains(
+            "\"superops\":[{\"kind\":\"Bin\",\"comp\":[\"Load\",\"ConstI\",\"Arith\"],\"hits\":5,\"nanos\":60}]"
+        ));
         let page = prometheus(&snap);
         crate::schema::validate_prometheus(&page).expect("page validates");
         assert!(page.contains("mop_opcode_hits{opcode=\"Arith\"} 12"));
@@ -644,6 +678,7 @@ mod tests {
         let report = human_report(&snap);
         assert!(report.contains("top opcodes by sampled time:"));
         assert!(report.contains("Arith"));
+        assert!(report.contains("top superinstructions by sampled time:"));
     }
 
     #[test]

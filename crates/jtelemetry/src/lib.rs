@@ -56,7 +56,7 @@ pub mod trace;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use metrics::{
-    Counter, Gauge, MetricsSnapshot, MutatorStat, OpcodeStat, SpanStat, HIST_BUCKETS,
+    Counter, Gauge, MetricsSnapshot, MutatorStat, OpcodeStat, SpanStat, SuperopStat, HIST_BUCKETS,
     SCHEMA_VERSION,
 };
 pub use recorder::{FlightEvent, FlightKind, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
@@ -80,6 +80,8 @@ pub struct Session {
     /// Per-opcode profiling requested ([`Session::with_profile`]).
     profile: bool,
     opcodes: Vec<OpcodeStat>,
+    /// Sorted by kind and composition (see [`metrics::add_superop`]).
+    superops: Vec<SuperopStat>,
     /// Nanoseconds accumulated by completed *child* spans of each open
     /// [`span`], innermost last — subtracted from a span's elapsed time
     /// on drop to yield its self-time.
@@ -120,6 +122,7 @@ impl Session {
             trace: None,
             profile: false,
             opcodes: Vec::new(),
+            superops: Vec::new(),
             span_children: Vec::new(),
         }
     }
@@ -246,6 +249,7 @@ impl Session {
             stat.hits += o.hits;
             stat.nanos = stat.nanos.saturating_add(o.nanos);
         }
+        metrics::merge_superops(&mut self.superops, &snap.superops);
     }
 
     /// Freezes the session into an exportable snapshot.
@@ -266,6 +270,7 @@ impl Session {
             spans: self.spans.clone(),
             mutators: self.mutators.clone(),
             opcodes: self.opcodes.clone(),
+            superops: self.superops.clone(),
         }
     }
 
@@ -745,6 +750,17 @@ pub fn profile_opcode(name: &str, hits: u64, nanos: u64) {
     });
 }
 
+/// Adds dispatches of one threaded-substrate superinstruction: its kind,
+/// its composition (opcode mnemonics in micro-step order), exact hits and
+/// sampled nanoseconds. No-op unless the session profiles.
+pub fn profile_superop(kind: &str, comp: &[&str], hits: u64, nanos: u64) {
+    with_session(|s| {
+        if s.profile {
+            metrics::add_superop(&mut s.superops, kind, comp, hits, nanos);
+        }
+    });
+}
+
 /// The always-on simulated-work meter: cumulative interpreter steps and
 /// JVM executions completed on this thread. Monotonic, never reset —
 /// consumers take deltas. Deterministic because it advances only on
@@ -1107,6 +1123,34 @@ mod tests {
         assert_eq!((arith.hits, arith.nanos), (14, 121));
         let load = snap.opcodes.iter().find(|o| o.name == "Load").unwrap();
         assert_eq!((load.hits, load.nanos), (5, 0));
+    }
+
+    #[test]
+    fn superops_sum_by_kind_and_composition_in_key_order() {
+        install(Session::new().with_profile());
+        profile_superop("CmpBr", &["Load", "ConstI", "Cmp", "JumpIfFalse"], 4, 40);
+        profile_superop("Bin", &["Load", "ConstI", "Arith", "Store"], 2, 0);
+        profile_superop("Bin", &["Load", "Load", "Arith"], 1, 5);
+        let worker_snap = take().unwrap().snapshot();
+
+        install(Session::new().with_profile());
+        profile_superop("Bin", &["Load", "Load", "Arith"], 3, 1);
+        absorb(&worker_snap);
+        let snap = take().unwrap().snapshot();
+        let rows: Vec<(&str, usize, u64, u64)> = snap
+            .superops
+            .iter()
+            .map(|s| (s.kind.as_str(), s.comp.len(), s.hits, s.nanos))
+            .collect();
+        assert_eq!(
+            rows,
+            [("Bin", 4, 2, 0), ("Bin", 3, 4, 6), ("CmpBr", 4, 4, 40)],
+            "rows sum by (kind, composition) and sort by that key"
+        );
+        let mut merged = MetricsSnapshot::empty();
+        merged.merge(&snap);
+        merged.merge(&worker_snap);
+        assert_eq!(merged.superops[1].hits, 5);
     }
 
     #[test]

@@ -47,9 +47,49 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Documents this
+/// workspace writes nest a few levels; the limit bounds the recursive
+/// parser's stack use on hostile input, such as an HTTP body of a
+/// million `[`.
+pub const MAX_JSON_DEPTH: usize = 64;
+
+/// Why [`parse_json`] rejected a document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum JsonError {
+    /// Malformed text.
+    Syntax(String),
+    /// Arrays and objects nest deeper than [`MAX_JSON_DEPTH`].
+    TooDeep {
+        /// Byte offset of the bracket that crossed the limit.
+        pos: usize,
+    },
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JsonError::Syntax(msg) => f.write_str(msg),
+            JsonError::TooDeep { pos } => write!(
+                f,
+                "json parse error at byte {pos}: nesting deeper than {MAX_JSON_DEPTH} levels"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for JsonError {}
+
+impl From<JsonError> for String {
+    fn from(e: JsonError) -> String {
+        e.to_string()
+    }
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -57,11 +97,12 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
-    fn err(&self, what: &str) -> String {
-        format!("json parse error at byte {}: {what}", self.pos)
+    fn err(&self, what: &str) -> JsonError {
+        JsonError::Syntax(format!("json parse error at byte {}: {what}", self.pos))
     }
 
     fn skip_ws(&mut self) {
@@ -74,7 +115,7 @@ impl<'a> Parser<'a> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -83,11 +124,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, JsonError> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -97,7 +138,21 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+    /// Parses one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(JsonError::TooDeep { pos: self.pos });
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -106,7 +161,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -123,7 +178,7 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.err(&format!("bad number '{text}'")))
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -169,7 +224,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -193,7 +248,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -224,7 +279,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed).
-pub fn parse_json(text: &str) -> Result<Json, String> {
+pub fn parse_json(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser::new(text);
     let value = p.value()?;
     p.skip_ws();
@@ -368,6 +423,29 @@ pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
         want_num(o, "nanos")?;
     }
 
+    let superops = match want(&root, "superops", "array")? {
+        Json::Arr(items) => items,
+        _ => unreachable!(),
+    };
+    for (i, s) in superops.iter().enumerate() {
+        check_key_set(
+            s,
+            &format!("superops[{i}]"),
+            &["kind", "comp", "hits", "nanos"],
+        )?;
+        want(s, "kind", "string")?;
+        match want(s, "comp", "array")? {
+            Json::Arr(names) if !names.is_empty() => {
+                if names.iter().any(|n| !matches!(n, Json::Str(_))) {
+                    return Err(format!("superops[{i}]: non-string opcode in comp"));
+                }
+            }
+            _ => return Err(format!("superops[{i}]: empty comp")),
+        }
+        want_num(s, "hits")?;
+        want_num(s, "nanos")?;
+    }
+
     check_key_set(
         &root,
         "snapshot",
@@ -380,6 +458,7 @@ pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
             "spans",
             "mutators",
             "opcodes",
+            "superops",
         ],
     )
 }
@@ -782,6 +861,28 @@ mod tests {
     }
 
     #[test]
+    fn parser_bounds_nesting_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nest(MAX_JSON_DEPTH)).is_ok());
+        assert_eq!(
+            parse_json(&nest(MAX_JSON_DEPTH + 1)),
+            Err(JsonError::TooDeep {
+                pos: MAX_JSON_DEPTH
+            })
+        );
+        // A megabyte of `[` is rejected without recursing a million deep.
+        let hostile = "[".repeat(1 << 20);
+        assert!(matches!(
+            parse_json(&hostile),
+            Err(JsonError::TooDeep { .. })
+        ));
+        assert!(matches!(
+            parse_json(&"{\"a\":".repeat(1 << 16)),
+            Err(JsonError::TooDeep { .. })
+        ));
+    }
+
+    #[test]
     fn validator_rejects_wrong_version() {
         let snap = crate::metrics::MetricsSnapshot {
             schema_version: SCHEMA_VERSION + 1,
@@ -791,10 +892,27 @@ mod tests {
             spans: Vec::new(),
             mutators: Vec::new(),
             opcodes: Vec::new(),
+            superops: Vec::new(),
         };
         let line = crate::export::jsonl_line(&snap);
         let err = validate_snapshot_line(&line).unwrap_err();
         assert!(err.contains("version"), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_superop_without_composition() {
+        let mut snap = crate::metrics::MetricsSnapshot::empty();
+        snap.superops.push(crate::metrics::SuperopStat {
+            kind: "Bin".to_string(),
+            comp: Vec::new(),
+            hits: 1,
+            nanos: 0,
+        });
+        let line = crate::export::jsonl_line(&snap);
+        let err = validate_snapshot_line(&line).unwrap_err();
+        assert!(err.contains("empty comp"), "{err}");
+        snap.superops[0].comp = vec!["Load".to_string(), "Arith".to_string()];
+        validate_snapshot_line(&crate::export::jsonl_line(&snap)).expect("valid row");
     }
 
     #[test]
@@ -807,6 +925,7 @@ mod tests {
             spans: Vec::new(),
             mutators: Vec::new(),
             opcodes: Vec::new(),
+            superops: Vec::new(),
         };
         let line = crate::export::jsonl_line(&snap);
         let err = validate_snapshot_line(&line).unwrap_err();

@@ -268,8 +268,13 @@ fn run_jvm_inner(
         }
     };
 
-    // Tier 0: interpret with profiling.
-    let tier0 = jexec::run(&image, exec);
+    // Tier 0: interpret with profiling. The tier spans below are
+    // trace-only, so flight dumps (and the journals holding them) do not
+    // change with tracing on.
+    let tier0 = {
+        let _span = jtelemetry::trace_span("tier0_run", Vec::new);
+        jexec::run(&image, exec)
+    };
     run.steps += tier0.stats.steps;
     mark_runtime_coverage(&mut run.coverage, &tier0);
 
@@ -322,6 +327,7 @@ fn run_jvm_inner(
         for &mid in set {
             let class_name = image.classes[image.methods[mid].class].name.clone();
             let method_name = image.methods[mid].name.clone();
+            let compile_span = jtelemetry::trace_span("jit_compile", Vec::new);
             let Some(out) = jopt::optimize_memo(
                 program,
                 program_fp,
@@ -360,7 +366,9 @@ fn run_jvm_inner(
                     }
                 }
             }
+            drop(compile_span);
             // Lower the (possibly corrupted) optimized method and install.
+            let _span = jtelemetry::trace_span("lower_install", Vec::new);
             match jexec::compile_method_ast(&image, image.methods[mid].class, &method) {
                 Ok(code) => image.install_code(mid, code),
                 Err(_) => {
@@ -384,6 +392,7 @@ fn run_jvm_inner(
     let final_outcome = if run.compiled.is_empty() && !corrupted {
         tier0
     } else {
+        let _span = jtelemetry::trace_span("final_run", Vec::new);
         let out = jexec::run(&image, exec);
         run.steps += out.stats.steps;
         mark_runtime_coverage(&mut run.coverage, &out);

@@ -7,10 +7,13 @@
 //! leaf inlining raise the stakes: an error can now surface mid-way
 //! through a superinstruction or inside an inlined leaf body, and a fuel
 //! budget can cut execution at any of those interior points. Every case
-//! here is therefore swept across fuel budgets, not just run to the error.
+//! here is therefore swept across fuel budgets, not just run to the error,
+//! both unprofiled and under `--profile`: the profiled threaded run
+//! executes the same fused body and must credit exactly the micro-steps a
+//! cut-short group ran, so its per-opcode table equals the interpreter's.
 
-use jexec::code::{ArithOp, Code, Instr};
-use jexec::{interp, threaded, ExecConfig, ExecError, Image};
+use jexec::code::{ArithOp, CmpOp, Code, Instr};
+use jexec::{interp, threaded, ExecConfig, ExecError, Image, Outcome};
 
 /// Installs `instrs` as `main`'s body and checks both substrates agree on
 /// the outcome at full fuel *and* at every budget up to a few steps past
@@ -32,8 +35,21 @@ fn assert_adversarial_equivalent(instrs: Vec<Instr>, n_locals: u16, want: Option
     sweep(&image, want);
 }
 
+/// Runs `run` under a profiling session with a manual clock and returns
+/// the outcome with the session's per-opcode table.
+fn profiled(run: impl FnOnce() -> Outcome) -> (Outcome, Vec<jtelemetry::OpcodeStat>) {
+    jtelemetry::install(jtelemetry::Session::from_spec(jtelemetry::SessionSpec {
+        manual: true,
+        trace: false,
+        profile: true,
+    }));
+    let outcome = run();
+    (outcome, jtelemetry::take().unwrap().snapshot().opcodes)
+}
+
 /// Runs both substrates at full fuel (asserting the expected error) and
-/// then at every fuel budget from 0 to just past the full run's steps.
+/// then at every fuel budget from 0 to just past the full run's steps,
+/// unprofiled and profiled.
 fn sweep(image: &Image, want: Option<ExecError>) {
     let config = ExecConfig::default();
     let threaded = threaded::run(image, &config);
@@ -51,6 +67,9 @@ fn sweep(image: &Image, want: Option<ExecError>) {
         let threaded = threaded::run(image, &config);
         let interp = interp::run(image, &config);
         assert_eq!(threaded, interp, "diverged at fuel {fuel}");
+        let threaded = profiled(|| threaded::run(image, &config));
+        let interp = profiled(|| interp::run(image, &config));
+        assert_eq!(threaded, interp, "profiled runs diverged at fuel {fuel}");
     }
 }
 
@@ -230,4 +249,59 @@ fn corrupt_leaf_body_errors_mid_inline_step_exactly() {
         },
     );
     sweep(&truncated, Some(ExecError::VmCorrupt("pc out of range")));
+}
+
+#[test]
+fn errors_inside_superinstructions_are_step_exact() {
+    // Each body fuses into one superinstruction whose constituent dies
+    // partway: the micro-steps after the failing one were accounted by
+    // the batch and must be rolled back, and a profiled run credits only
+    // the constituents that ran.
+    let underflow = ExecError::VmCorrupt("operand stack underflow");
+    let cases: Vec<(Vec<Instr>, u16, ExecError)> = vec![
+        // `Bin { a: Stack, b: Local, sink: Local }` on an empty stack.
+        (
+            vec![
+                Instr::Load(0),
+                Instr::Arith(ArithOp::Add),
+                Instr::Store(1),
+                Instr::Return,
+            ],
+            2,
+            underflow.clone(),
+        ),
+        // `Bin { a: Stack, b: Stack, sink: Local }` on an empty stack.
+        (
+            vec![Instr::Arith(ArithOp::Add), Instr::Store(0), Instr::Return],
+            1,
+            underflow.clone(),
+        ),
+        // `CmpBr { a: Stack, b: Const }` on an empty stack.
+        (
+            vec![
+                Instr::ConstI(1),
+                Instr::Cmp(CmpOp::Lt),
+                Instr::JumpIfFalse(4),
+                Instr::Return,
+                Instr::Return,
+            ],
+            0,
+            underflow,
+        ),
+        // `Bin` whose arithmetic fails on its operand types.
+        (
+            vec![
+                Instr::ConstB(true),
+                Instr::ConstI(1),
+                Instr::Arith(ArithOp::Add),
+                Instr::Store(0),
+                Instr::Return,
+            ],
+            1,
+            ExecError::TypeMismatch("arithmetic operand kinds"),
+        ),
+    ];
+    for (instrs, n_locals, want) in cases {
+        assert_adversarial_equivalent(instrs, n_locals, Some(want));
+    }
 }

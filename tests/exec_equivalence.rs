@@ -13,7 +13,9 @@
 //! * **Proptest sweep** — generated corpus programs agree on the full
 //!   [`jexec::Outcome`] (output, error, stats incl. step counts, hotness
 //!   profile) and on the profiler's per-opcode attribution tables, at
-//!   default fuel and under fuel exhaustion.
+//!   default fuel and under fuel exhaustion. The threaded profiler runs
+//!   the fused body, so a fuel cut inside a superinstruction or an inlined
+//!   leaf must still credit exactly the micro-steps that ran.
 //! * **Hang containment** — a cancelled watchdog token aborts both
 //!   substrates with the same timeout panic payload.
 
@@ -48,6 +50,22 @@ fn config_with_mode(mode: ExecMode) -> ExecConfig {
         mode,
         ..ExecConfig::default()
     }
+}
+
+/// Runs `image` under a profiling session with a manual clock and
+/// returns the outcome with the session's per-opcode table.
+fn run_profiled(
+    image: &jexec::Image,
+    config: &ExecConfig,
+) -> (jexec::Outcome, Vec<jtelemetry::OpcodeStat>) {
+    jtelemetry::install(jtelemetry::Session::from_spec(jtelemetry::SessionSpec {
+        manual: true,
+        trace: false,
+        profile: true,
+    }));
+    let outcome = jexec::run(image, config);
+    let opcodes = jtelemetry::take().unwrap().snapshot().opcodes;
+    (outcome, opcodes)
 }
 
 /// Both substrates reproduce the committed golden journals byte for
@@ -198,7 +216,7 @@ proptest! {
 
     /// Fuel exhaustion is step-exact: at any fuel budget both substrates
     /// stop on the same instruction with the same partial output, stats,
-    /// and profile.
+    /// and profile — and, profiled, with the same per-opcode table.
     #[test]
     fn fuel_exhaustion_is_step_exact_across_substrates(
         gen_seed in any::<u64>(),
@@ -219,6 +237,14 @@ proptest! {
             prop_assert_eq!(err, &jexec::ExecError::OutOfFuel);
             prop_assert_eq!(outcomes[0].stats.steps, fuel, "steps stop exactly at the budget");
         }
+        let image = jexec::Image::build(&program).expect("generated program builds");
+        let profiled: Vec<_> = [ExecMode::Interp, ExecMode::Threaded]
+            .into_iter()
+            .map(|mode| run_profiled(&image, &ExecConfig { fuel, ..config_with_mode(mode) }))
+            .collect();
+        prop_assert_eq!(&profiled[0].0, &outcomes[0]);
+        prop_assert_eq!(&profiled[1].0, &outcomes[1]);
+        prop_assert_eq!(&profiled[0].1, &profiled[1].1, "opcode tables diverged at fuel {}", fuel);
     }
 }
 
@@ -413,7 +439,8 @@ proptest! {
     /// The full battery: outcome equality (including error identity and
     /// exact step counts), per-opcode attribution tables, and step-index
     /// equality at truncated fuel budgets — which cut execution inside
-    /// superinstructions and inside inlined leaf bodies.
+    /// superinstructions and inside inlined leaf bodies. Every cut also
+    /// runs profiled, and a dense sweep covers every budget up to 300.
     #[test]
     fn representation_hazards_agree_across_substrates(prog in hazard_program()) {
         let src = prog.render();
@@ -448,6 +475,18 @@ proptest! {
             prop_assert_eq!(
                 &outcomes[0], &outcomes[1],
                 "diverged at fuel {} on:\n{}", fuel, src
+            );
+        }
+        let image = jexec::Image::build(&program).expect("generated program builds");
+        let cuts = [1, 2, total / 3, total / 2, total.saturating_sub(1)];
+        for fuel in cuts.into_iter().chain(1..=total.min(300)) {
+            let profiled: Vec<_> = [ExecMode::Interp, ExecMode::Threaded]
+                .into_iter()
+                .map(|mode| run_profiled(&image, &ExecConfig { fuel, ..config_with_mode(mode) }))
+                .collect();
+            prop_assert_eq!(
+                &profiled[0], &profiled[1],
+                "profiled runs diverged at fuel {} on:\n{}", fuel, src
             );
         }
     }

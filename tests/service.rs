@@ -408,3 +408,27 @@ fn shard_migration_round_trips_and_stays_campaignable() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One request cannot take the daemon down: a maximum-size body of
+/// nothing but `[` is a 400, because the JSON parser bounds its nesting
+/// depth instead of recursing until the connection thread's stack
+/// overflows and aborts every tenant, and the daemon keeps serving.
+#[test]
+fn deeply_nested_body_is_rejected_and_the_daemon_survives() {
+    let dir = temp_dir("nested");
+    let server = Server::start(Config {
+        listen: "127.0.0.1:0".to_string(),
+        data_dir: dir.clone(),
+        max_active: 1,
+        resume: false,
+    })
+    .unwrap();
+    let addr = server.addr();
+    let (status, reply) = request(addr, "POST", "/campaigns", &"[".repeat(1 << 20));
+    assert!((400..500).contains(&status), "status {status}: {reply}");
+    assert!(reply.contains("nesting deeper than"), "{reply}");
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -169,7 +169,8 @@ fn journaled_flight_dumps_name_the_failing_site() {
 /// lane is renumbered into program order at merge time and the
 /// wall-clock scheduler lane is suppressed under a manual clock, so the
 /// whole export — ids, parents, timestamps, durations — is a pure
-/// function of the campaign.
+/// function of the campaign. The profiler's per-opcode and
+/// per-superinstruction tables, absorbed in merge order, are too.
 #[test]
 fn traces_are_byte_identical_across_worker_counts() {
     let seeds = corpus::builtin();
@@ -188,15 +189,34 @@ fn traces_are_byte_identical_across_worker_counts() {
         let session = jtelemetry::take().expect("session installed");
         let trace = trace_json(&session, &meta).expect("tracing session exports a trace");
         validate_trace(&trace).expect("trace export valid");
-        exports.push((result, trace));
+        let snap = session.snapshot();
+        exports.push((result, trace, snap.opcodes, snap.superops));
     }
-    let (serial_result, serial_trace) = &exports[0];
-    let (parallel_result, parallel_trace) = &exports[1];
+    let (serial_result, serial_trace, serial_ops, serial_superops) = &exports[0];
+    let (parallel_result, parallel_trace, parallel_ops, parallel_superops) = &exports[1];
     assert_eq!(serial_result, parallel_result);
     assert_eq!(
         serial_trace, parallel_trace,
         "trace bytes must not depend on worker count"
     );
+    assert_eq!(
+        serial_ops, parallel_ops,
+        "opcode tables must not depend on worker count"
+    );
+    assert!(
+        !serial_superops.is_empty(),
+        "the threaded substrate reports superinstructions"
+    );
+    assert_eq!(
+        serial_superops, parallel_superops,
+        "superinstruction tables must not depend on worker count"
+    );
+    for name in ["tier0_run", "jit_compile", "lower_install", "final_run"] {
+        assert!(
+            serial_trace.contains(&format!("\"{name}\"")),
+            "no {name} span"
+        );
+    }
     assert!(serial_trace.contains("\"round\""));
     assert!(serial_trace.contains("\"fuzz\""));
     assert!(serial_trace.contains("\"differential\""));
