@@ -15,7 +15,10 @@
 //! A second, smaller sweep times the full differential oracle (8
 //! simulated JVMs per program, serial) per mode, which additionally
 //! exercises the shared code cache across the pool and the `jopt`
-//! pipeline memo — the campaign-level view of the same speedup.
+//! pipeline memo — the campaign-level view of the same speedup. Each of
+//! its repetitions starts with an empty execution memo, so every
+//! repetition executes; within one differential call the memo answers
+//! the pool JVMs that repeat an execution, as in a campaign.
 //!
 //! Flags:
 //!   --smoke       tiny repeat count (CI smoke mode)
@@ -155,6 +158,7 @@ fn run() {
     let mut diff_rows: Vec<Row> = Vec::new();
     let options = RunOptions::fuzzing();
     let mut pipeline_cache = jopt::pipeline::cache_stats();
+    let mut memo = jexec::memo::MemoStats::default();
     for mode in MODES {
         jexec::threaded::cache_reset();
         jopt::pipeline::cache_reset();
@@ -166,9 +170,16 @@ fn run() {
         let mut execs = 0u64;
         let start = Instant::now();
         for _ in 0..diff_repeats {
+            jexec::memo::reset();
             for program in &programs {
+                let before = jexec::memo::stats();
                 let diff = differential_jobs(program, &pool, &options, 1);
                 execs += diff.executions;
+                if mode == ExecMode::Threaded {
+                    let after = jexec::memo::stats();
+                    memo.hits += after.hits - before.hits;
+                    memo.misses += after.misses - before.misses;
+                }
             }
         }
         let seconds = start.elapsed().as_secs_f64().max(1e-9);
@@ -252,11 +263,17 @@ fn run() {
         pipeline_cache.misses,
         100.0 * hit_rate(pipeline_cache.hits, pipeline_cache.misses)
     );
+    println!(
+        "execution memo: {} hits / {} misses ({:.1}% of tier runs replayed)",
+        memo.hits,
+        memo.misses,
+        100.0 * hit_rate(memo.hits, memo.misses)
+    );
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"type\": \"mopfuzzer-interp-bench\",");
-    let _ = writeln!(json, "  \"version\": 2,");
+    let _ = writeln!(json, "  \"version\": 3,");
     let _ = writeln!(json, "  \"host\": {},", bench::host_meta_json());
     let _ = writeln!(json, "  \"programs\": {},", programs.len());
     let _ = writeln!(json, "  \"repeats\": {repeats},");
@@ -304,11 +321,18 @@ fn run() {
     let _ = writeln!(
         json,
         "  \"pipeline_cache\": {{\"entries\": {}, \"hits\": {}, \"misses\": {}, \
-         \"hit_rate\": {:.4}}}",
+         \"hit_rate\": {:.4}}},",
         pipeline_cache.entries,
         pipeline_cache.hits,
         pipeline_cache.misses,
         hit_rate(pipeline_cache.hits, pipeline_cache.misses)
+    );
+    let _ = writeln!(
+        json,
+        "  \"exec_memo\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {:.4}}}",
+        memo.hits,
+        memo.misses,
+        hit_rate(memo.hits, memo.misses)
     );
     let _ = writeln!(json, "}}");
     std::fs::write(&out_path, json).expect("write bench output");

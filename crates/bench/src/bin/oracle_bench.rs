@@ -8,6 +8,13 @@
 //! must produce `DifferentialResult`s identical to the serial loop's —
 //! the bench asserts this, so it doubles as an equivalence smoke test.
 //!
+//! Every row starts with cold process-wide caches, and every repetition
+//! with an empty execution memo: without the resets, every row after the
+//! first would run warm, and repetitions after the first would replay
+//! memoized executions instead of executing. Within one differential
+//! call the memo still answers the pool JVMs that repeat an execution,
+//! as it does in a campaign.
+//!
 //! Speedup is bounded by the host: the recorded `host` block says what
 //! OS/arch and how many hardware threads the numbers were taken on. The
 //! oracle's fan-out is also bounded by the pool size (8 simulated JVMs),
@@ -84,8 +91,11 @@ fn run() {
         );
         let mut executions = 0u64;
         let mut sweep: Vec<DifferentialResult> = Vec::new();
+        jexec::threaded::cache_reset();
+        jopt::pipeline::cache_reset();
         let start = Instant::now();
         for rep in 0..repeats {
+            jexec::memo::reset();
             for program in &programs {
                 let diff = differential_jobs(program, &pool, &options, oracle_jobs);
                 executions += diff.executions;

@@ -28,7 +28,7 @@ use crate::mutators::MutatorKind;
 use crate::supervisor::{BudgetKind, RoundError, RoundFailure, SupervisorConfig};
 use crate::variant::Variant;
 use jcorpus::Vfs;
-use jtelemetry::schema::{JsonError, MAX_JSON_DEPTH};
+use jtelemetry::schema::{escape_json, JsonError, MAX_JSON_DEPTH};
 use jtelemetry::{FlightEvent, FlightKind};
 use jvmsim::{Area, Component, CoverageMap, FaultPlan, JvmSpec, VmFault};
 use std::path::{Path, PathBuf};
@@ -313,26 +313,8 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, String> {
 
 // ---- encoding ----
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_str(s: &str) -> String {
-    format!("\"{}\"", esc(s))
+    format!("\"{}\"", escape_json(s))
 }
 
 fn opt_u64(v: Option<u64>) -> String {

@@ -104,6 +104,8 @@ struct Accumulator {
     code_seen: HashSet<u64>,
     /// Pipeline-memo keys seen so far this differential call.
     pipeline_seen: HashSet<u64>,
+    /// Execution-memo keys seen so far this differential call.
+    memo_seen: HashSet<u64>,
 }
 
 impl Accumulator {
@@ -115,6 +117,7 @@ impl Accumulator {
             runs: Vec::new(),
             code_seen: HashSet::new(),
             pipeline_seen: HashSet::new(),
+            memo_seen: HashSet::new(),
         }
     }
 
@@ -126,20 +129,25 @@ impl Accumulator {
     /// replaying them against merge-order seen-sets yields counters that
     /// are bit-identical at any `--jobs`×`--oracle-jobs`.
     fn count_cache_lookups(&mut self, run: &JvmRun) {
-        let mut tally = [0u64; 4]; // code hit/miss, pipeline hit/miss
-        for &key in &run.cache_log.code {
-            let hit = !self.code_seen.insert(key);
-            tally[usize::from(!hit)] += 1;
-        }
-        for &key in &run.cache_log.pipeline {
-            let hit = !self.pipeline_seen.insert(key);
-            tally[2 + usize::from(!hit)] += 1;
+        // code, pipeline and execution memo: hit/miss each
+        let mut tally = [0u64; 6];
+        let logs = [
+            (&run.cache_log.code, &mut self.code_seen),
+            (&run.cache_log.pipeline, &mut self.pipeline_seen),
+            (&run.cache_log.memo, &mut self.memo_seen),
+        ];
+        for (i, (keys, seen)) in logs.into_iter().enumerate() {
+            for &key in keys {
+                tally[2 * i + usize::from(seen.insert(key))] += 1;
+            }
         }
         let counters = [
             jtelemetry::Counter::CodeCacheHits,
             jtelemetry::Counter::CodeCacheMisses,
             jtelemetry::Counter::PipelineCacheHits,
             jtelemetry::Counter::PipelineCacheMisses,
+            jtelemetry::Counter::ExecMemoHits,
+            jtelemetry::Counter::ExecMemoMisses,
         ];
         for (counter, n) in counters.into_iter().zip(tally) {
             if n > 0 {

@@ -34,11 +34,12 @@
 
 use crate::lock::{StoreLock, DEFAULT_LOCK_TIMEOUT};
 use crate::store::{
-    check_header, decode_line, decode_quarantine_line, esc, parse_shards_marker, Decoded, Store,
+    check_header, decode_line, decode_quarantine_line, parse_shards_marker, Decoded, Store,
     ENTRIES_DIR, MANIFEST, QUARANTINE, SHARDS_MARKER,
 };
 use crate::vfs::{self, Vfs};
 use crate::{fingerprint_hex, Tombstone};
+use jtelemetry::schema::escape_json;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -134,7 +135,7 @@ impl FsckReport {
         let mut out = format!(
             "{{\"type\":\"jcorpus-fsck\",\"version\":1,\"dir\":\"{}\",\"repair\":{},\
              \"clean\":{},\"issues\":[",
-            esc(&self.dir.display().to_string()),
+            escape_json(&self.dir.display().to_string()),
             self.repair,
             self.clean(),
         );
@@ -145,8 +146,8 @@ impl FsckReport {
             out.push_str(&format!(
                 "{{\"kind\":\"{}\",\"path\":\"{}\",\"detail\":\"{}\",\"repaired\":{}}}",
                 issue.kind.as_str(),
-                esc(&issue.path.display().to_string()),
-                esc(&issue.detail),
+                escape_json(&issue.path.display().to_string()),
+                escape_json(&issue.detail),
                 issue.repaired,
             ));
         }
@@ -376,8 +377,8 @@ fn check_sources(
                     format!(
                         "{{\"id\":\"{}\",\"name\":\"{}\",\"fingerprint\":\"{}\",\
                          \"tombstone\":true}}",
-                        esc(&tomb.id),
-                        esc(&tomb.name),
+                        escape_json(&tomb.id),
+                        escape_json(&tomb.name),
                         fingerprint_hex(tomb.fingerprint),
                     ),
                     Decoded::Tomb(tomb),

@@ -67,7 +67,7 @@ use crate::fingerprint::{fingerprint_hex, parse_fingerprint, source_hash};
 use crate::lock::{StoreLock, DEFAULT_LOCK_TIMEOUT};
 use crate::schedule::energy;
 use crate::vfs::{self, Vfs};
-use jtelemetry::schema::{parse_json, Json};
+use jtelemetry::schema::{escape_json, parse_json, Json};
 use mjava::Program;
 use std::collections::BTreeSet;
 #[cfg(test)]
@@ -571,7 +571,7 @@ impl Store {
         let mut out = String::new();
         out.push_str(&format!(
             "{{\"type\":\"jcorpus-stats\",\"version\":1,\"dir\":\"{}\",",
-            esc(&self.dir.display().to_string())
+            escape_json(&self.dir.display().to_string())
         ));
         // Layout rides along for sharded stores only: flat stats output
         // is byte-identical to what it was before sharding existed.
@@ -584,15 +584,15 @@ impl Store {
                 out.push(',');
             }
             let parent = match &e.parent {
-                Some(p) => format!("\"{}\"", esc(p)),
+                Some(p) => format!("\"{}\"", escape_json(p)),
                 None => "null".to_string(),
             };
             out.push_str(&format!(
                 "{{\"id\":\"{}\",\"name\":\"{}\",\"fingerprint\":\"{}\",\"provenance\":\"{}\",\
                  \"parent\":{parent},\"schedules\":{},\"yield_sum\":{:?},\"faults\":{},\
                  \"bugs\":{},\"energy\":{:?},\"floor_streak\":{}}}",
-                esc(&e.id),
-                esc(&e.name),
+                escape_json(&e.id),
+                escape_json(&e.name),
                 fingerprint_hex(e.fingerprint),
                 e.provenance.as_str(),
                 e.stats.schedules,
@@ -610,8 +610,8 @@ impl Store {
             }
             out.push_str(&format!(
                 "{{\"id\":\"{}\",\"name\":\"{}\",\"fingerprint\":\"{}\"}}",
-                esc(&t.id),
-                esc(&t.name),
+                escape_json(&t.id),
+                escape_json(&t.name),
                 fingerprint_hex(t.fingerprint),
             ));
         }
@@ -621,12 +621,12 @@ impl Store {
                 out.push(',');
             }
             let mutator = match mutator {
-                Some(m) => format!("\"{}\"", esc(m)),
+                Some(m) => format!("\"{}\"", escape_json(m)),
                 None => "null".to_string(),
             };
             out.push_str(&format!(
                 "{{\"seed\":\"{}\",\"mutator\":{mutator}}}",
-                esc(seed)
+                escape_json(seed)
             ));
         }
         let total: f64 = self.entries.iter().map(|e| energy(&e.stats)).sum();
@@ -682,12 +682,12 @@ impl Store {
         let mut quarantine = String::new();
         for (seed, mutator) in &self.quarantine {
             let mutator = match mutator {
-                Some(m) => format!("\"{}\"", esc(m)),
+                Some(m) => format!("\"{}\"", escape_json(m)),
                 None => "null".to_string(),
             };
             quarantine.push_str(&format!(
                 "{{\"seed\":\"{}\",\"mutator\":{mutator}}}\n",
-                esc(seed)
+                escape_json(seed)
             ));
         }
         vfs::write_atomic(self.fs.as_ref(), &self.dir.join(QUARANTINE), &quarantine)?;
@@ -757,12 +757,12 @@ impl Store {
         let mut quarantine = String::new();
         for (seed, mutator) in &self.quarantine {
             let mutator = match mutator {
-                Some(m) => format!("\"{}\"", esc(m)),
+                Some(m) => format!("\"{}\"", escape_json(m)),
                 None => "null".to_string(),
             };
             quarantine.push_str(&format!(
                 "{{\"seed\":\"{}\",\"mutator\":{mutator}}}\n",
-                esc(seed)
+                escape_json(seed)
             ));
         }
         vfs::write_atomic(self.fs.as_ref(), &self.dir.join(QUARANTINE), &quarantine)?;
@@ -1120,33 +1120,17 @@ fn sweep_stale_tmp(fs: &dyn Vfs, dir: &Path) {
     }
 }
 
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn encode_entry(e: &Entry) -> String {
     let parent = match &e.parent {
-        Some(p) => format!("\"{}\"", esc(p)),
+        Some(p) => format!("\"{}\"", escape_json(p)),
         None => "null".to_string(),
     };
     format!(
         "{{\"id\":\"{}\",\"name\":\"{}\",\"fingerprint\":\"{}\",\"source_hash\":\"{}\",\
          \"provenance\":\"{}\",\"parent\":{parent},\"schedules\":{},\"yield_sum\":{:?},\
          \"faults\":{},\"bugs\":{},\"floor_streak\":{}}}",
-        esc(&e.id),
-        esc(&e.name),
+        escape_json(&e.id),
+        escape_json(&e.name),
         fingerprint_hex(e.fingerprint),
         fingerprint_hex(e.source_hash),
         e.provenance.as_str(),
@@ -1161,8 +1145,8 @@ fn encode_entry(e: &Entry) -> String {
 pub(crate) fn encode_tombstone(t: &Tombstone) -> String {
     format!(
         "{{\"id\":\"{}\",\"name\":\"{}\",\"fingerprint\":\"{}\",\"tombstone\":true}}\n",
-        esc(&t.id),
-        esc(&t.name),
+        escape_json(&t.id),
+        escape_json(&t.name),
         fingerprint_hex(t.fingerprint),
     )
 }

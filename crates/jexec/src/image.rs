@@ -92,6 +92,10 @@ pub struct Image {
     class_index: HashMap<String, ClassId>,
     main: MethodId,
     shape_fp: u64,
+    /// Fingerprint of the field layouts' types and initial values; fixed
+    /// at build (no operation changes them).
+    fields_fp: u64,
+    content_fp: u64,
 }
 
 /// 64-bit FNV-1a, the fingerprint primitive for cache keys.
@@ -214,8 +218,11 @@ impl Image {
             class_index,
             main,
             shape_fp: 0,
+            fields_fp: 0,
+            content_fp: 0,
         };
         image.shape_fp = image.compute_shape_fp();
+        image.fields_fp = image.compute_fields_fp();
 
         // Pass 2: compile every body against the resolved skeletons.
         for mid in 0..image.methods.len() {
@@ -225,6 +232,7 @@ impl Image {
             image.methods[mid].code_fp = code_fingerprint(&code);
             image.methods[mid].code = code;
         }
+        image.content_fp = image.compute_content_fp();
         Ok(image)
     }
 
@@ -235,6 +243,43 @@ impl Image {
     /// which is what makes (shape, code) a sound code-cache key.
     pub fn shape_fp(&self) -> u64 {
         self.shape_fp
+    }
+
+    /// Fingerprint of everything an execution reads from the image: the
+    /// [`Image::shape_fp`], every method's installed code (by
+    /// [`MethodImage::code_fp`]) and `is_sync` flag, and the types and
+    /// initial values of every instance and static field. Two images with
+    /// the same content fingerprint execute identically under the same
+    /// [`crate::ExecConfig`], which is what makes it the execution memo's
+    /// key ([`crate::memo`]). [`Image::build`] and [`Image::install_code`]
+    /// keep it up to date.
+    pub fn content_fp(&self) -> u64 {
+        self.content_fp
+    }
+
+    fn compute_content_fp(&self) -> u64 {
+        let mut h = Fnv::new();
+        h.u64(self.shape_fp);
+        h.u64(self.fields_fp);
+        for m in &self.methods {
+            h.u64(m.code_fp);
+            h.byte(u8::from(m.is_sync));
+        }
+        h.0
+    }
+
+    fn compute_fields_fp(&self) -> u64 {
+        let mut h = Fnv::new();
+        for class in &self.classes {
+            for fields in [&class.instance_fields, &class.static_fields] {
+                h.u64(fields.len() as u64);
+                for f in fields {
+                    type_fp(&mut h, &f.ty);
+                    value_fp(&mut h, f.init);
+                }
+            }
+        }
+        h.0
     }
 
     fn compute_shape_fp(&self) -> u64 {
@@ -296,6 +341,7 @@ impl Image {
         self.methods[method].code_fp = code_fingerprint(&code);
         self.methods[method].code = code;
         self.methods[method].is_compiled = true;
+        self.content_fp = self.compute_content_fp();
     }
 
     /// Initial static field values, per class, for interpreter start-up.
@@ -304,6 +350,46 @@ impl Image {
             .iter()
             .map(|c| c.static_fields.iter().map(|f| f.init).collect())
             .collect()
+    }
+}
+
+fn type_fp(h: &mut Fnv, ty: &mjava::Type) {
+    match ty {
+        mjava::Type::Int => h.byte(0),
+        mjava::Type::Long => h.byte(1),
+        mjava::Type::Bool => h.byte(2),
+        mjava::Type::Integer => h.byte(3),
+        mjava::Type::Ref(name) => {
+            h.byte(4);
+            h.str(name);
+        }
+        mjava::Type::Void => h.byte(5),
+    }
+}
+
+fn value_fp(h: &mut Fnv, v: Value) {
+    match v {
+        Value::Int(i) => {
+            h.byte(0);
+            h.u64(i as u32 as u64);
+        }
+        Value::Long(l) => {
+            h.byte(1);
+            h.u64(l as u64);
+        }
+        Value::Bool(b) => {
+            h.byte(2);
+            h.byte(u8::from(b));
+        }
+        Value::Boxed(i) => {
+            h.byte(3);
+            h.u64(i as u32 as u64);
+        }
+        Value::Ref(id) => {
+            h.byte(4);
+            h.u64(id as u64);
+        }
+        Value::Null => h.byte(5),
     }
 }
 

@@ -11,8 +11,9 @@
 use crate::code::{Instr, MethodId};
 use crate::error::ExecError;
 use crate::image::Image;
+use crate::memo::Effects;
 use crate::ops;
-use crate::profile::{opcode_index, OpcodeProfiler};
+use crate::profile::{opcode_index, OpcodeProfiler, ProfileHits};
 use crate::value::{Heap, Value};
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -22,7 +23,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// counts, fuel accounting, cancellation latency, and profile attribution —
 /// so the mode is a pure performance knob and, like worker counts, is never
 /// journaled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecMode {
     /// The classic [`Instr`]-matching interpreter in this module.
     Interp,
@@ -175,6 +176,11 @@ impl Outcome {
 /// # Ok::<(), jexec::BuildError>(())
 /// ```
 pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
+    execute(image, config).0
+}
+
+/// [`run`], also returning the run's side effects for the execution memo.
+pub(crate) fn execute(image: &Image, config: &ExecConfig) -> (Outcome, Effects) {
     let _trace = jtelemetry::trace_span("interp_run", Vec::new);
     let mut machine = Machine {
         image,
@@ -209,15 +215,20 @@ pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
     }
     jtelemetry::count(jtelemetry::Counter::InterpRuns, 1);
     jtelemetry::count(jtelemetry::Counter::InterpSteps, machine.stats.steps);
-    if let Some(profiler) = &machine.profiler {
-        profiler.flush();
-    }
-    Outcome {
+    let effects = Effects {
+        profile: machine.profiler.map(|p| ProfileHits {
+            superops: Vec::new(),
+            opcodes: p.flush(),
+        }),
+        ..Effects::default()
+    };
+    let outcome = Outcome {
         output: machine.output,
         error,
         stats: machine.stats,
         profile: machine.profile,
-    }
+    };
+    (outcome, effects)
 }
 
 /// Builds and runs a program in one step, dispatching on `config.mode`.

@@ -10,6 +10,8 @@
 //!   after optimization);
 //! * [`run`] — the profiling interpreter, whose per-method invocation and
 //!   back-edge counters drive tiered compilation in `jvmsim`;
+//! * [`memo`] — the process-wide execution memo, through which `jvmsim`
+//!   runs each distinct (image content, limits, mode) once;
 //! * [`ops`] — shared operator semantics so the optimizer's constant folder
 //!   can never diverge from the interpreter.
 //!
@@ -37,6 +39,7 @@ pub mod compile;
 pub mod error;
 pub mod image;
 pub mod interp;
+pub mod memo;
 pub mod ops;
 mod profile;
 mod slot;

@@ -129,12 +129,46 @@ impl OpcodeProfiler {
         self.nanos[opcode] += nanos;
     }
 
-    pub(crate) fn flush(&self) {
+    /// Reports the table to the session; returns the exact hits it
+    /// reported, in report order.
+    pub(crate) fn flush(&self) -> Vec<(&'static str, u64)> {
+        let mut rows = Vec::new();
         for (i, &name) in OPCODE_NAMES.iter().enumerate() {
             if self.hits[i] > 0 {
                 jtelemetry::profile_opcode(name, self.hits[i], self.nanos[i]);
+                rows.push((name, self.hits[i]));
             }
         }
+        rows
+    }
+}
+
+/// The exact hit counts one profiled execution reported to the session,
+/// in report order. An execution-memo hit replays them ([`Self::replay`])
+/// so that a memoized run counts the same hits as a real one; it has no
+/// wall time to sample, so it reports zero nanoseconds.
+pub(crate) struct ProfileHits {
+    /// `(kind, composition, hits)` per superinstruction report.
+    pub(crate) superops: Vec<(&'static str, Vec<&'static str>, u64)>,
+    /// `(opcode, hits)` per opcode report.
+    pub(crate) opcodes: Vec<(&'static str, u64)>,
+}
+
+impl ProfileHits {
+    /// Reports the recorded hits again, with zero sampled nanoseconds.
+    pub(crate) fn replay(&self) {
+        for (kind, comp, hits) in &self.superops {
+            jtelemetry::profile_superop(kind, comp, *hits, 0);
+        }
+        for &(name, hits) in &self.opcodes {
+            jtelemetry::profile_opcode(name, hits, 0);
+        }
+    }
+
+    /// Approximate heap bytes held, for the memo's byte bound.
+    pub(crate) fn bytes(&self) -> usize {
+        let comps: usize = self.superops.iter().map(|s| 16 * s.1.len()).sum();
+        40 * self.superops.len() + comps + 24 * self.opcodes.len()
     }
 }
 
@@ -213,9 +247,10 @@ impl DispatchProfile {
     /// return and a prefix for a group cut short by fuel or an error
     /// (fused arms roll back their batched accounting before returning
     /// an error, so `steps` is exact). Sampled nanoseconds are spread
-    /// evenly over the composition.
-    pub(crate) fn flush(&self, codes: &[Option<Arc<ThreadedCode>>], steps: u64) {
+    /// evenly over the composition. Returns the exact hits reported.
+    pub(crate) fn flush(&self, codes: &[Option<Arc<ThreadedCode>>], steps: u64) -> ProfileHits {
         let mut table = OpcodeProfiler::new();
+        let mut superops = Vec::new();
         let (last, last_steps) = self.last;
         let ticked = steps - last_steps;
         for (code, &base) in codes.iter().zip(&self.base) {
@@ -241,9 +276,13 @@ impl DispatchProfile {
                     let names: Vec<&str> =
                         comp.iter().map(|&op| OPCODE_NAMES[op as usize]).collect();
                     jtelemetry::profile_superop(kind, &names, hits, nanos);
+                    superops.push((kind, names, hits));
                 }
             }
         }
-        table.flush();
+        ProfileHits {
+            superops,
+            opcodes: table.flush(),
+        }
     }
 }

@@ -56,6 +56,7 @@ use crate::code::{ArithOp, CmpOp, Code, Instr, MethodId};
 use crate::error::ExecError;
 use crate::image::{Fnv, Image};
 use crate::interp::{ExecConfig, ExecStats, Outcome, Profile};
+use crate::memo::Effects;
 use crate::profile::{opcode_index, DispatchProfile};
 use crate::slot::{self, Slot, Tag, NULL};
 use crate::value::{ClassId, Heap, Value};
@@ -487,8 +488,10 @@ pub fn dump_fused(image: &Image, mid: MethodId) -> Vec<String> {
     tc.ops.iter().map(|op| format!("{op:?}")).collect()
 }
 
-/// Empties the cache and zeroes its statistics (campaign start / benches).
+/// Empties the cache and the execution memo ([`crate::memo`]) and zeroes
+/// their statistics (campaign start / benches).
 pub fn cache_reset() {
+    crate::memo::reset();
     cache_write().clear();
     CACHE_HITS.store(0, Ordering::Relaxed);
     CACHE_MISSES.store(0, Ordering::Relaxed);
@@ -504,8 +507,9 @@ pub fn cache_stats() -> CacheStats {
     }
 }
 
-/// Fetches (or lowers and publishes) the threaded body of one method.
-fn lookup_or_lower(image: &Image, mid: MethodId) -> Arc<ThreadedCode> {
+/// Fetches (or lowers and publishes) the threaded body of one method;
+/// also returns the lookup's log key.
+fn lookup_or_lower(image: &Image, mid: MethodId) -> (u64, Arc<ThreadedCode>) {
     let m = &image.methods[mid];
     let mut h = Fnv::new();
     h.u64(m.code_fp);
@@ -523,10 +527,9 @@ fn lookup_or_lower(image: &Image, mid: MethodId) -> Arc<ThreadedCode> {
     let mut lh = Fnv::new();
     lh.u64(key.0);
     lh.u64(key.1);
-    LOOKUP_LOG.with(|l| l.borrow_mut().push(lh.0));
     if let Some(tc) = cache_read().get(&key) {
         CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(tc);
+        return (lh.0, Arc::clone(tc));
     }
     CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
     // Lower outside the lock: lowering is a pure function of the key, so
@@ -537,7 +540,15 @@ fn lookup_or_lower(image: &Image, mid: MethodId) -> Arc<ThreadedCode> {
     if map.len() >= CACHE_CAP {
         map.clear();
     }
-    Arc::clone(map.entry(key).or_insert(tc))
+    (lh.0, Arc::clone(map.entry(key).or_insert(tc)))
+}
+
+/// Appends one execution's code-cache lookup keys and inline count to
+/// this thread's logs: at the end of a real run, and again for every
+/// execution-memo hit that replays it.
+pub(crate) fn log_lookups(lookups: &[u64], inlined: u64) {
+    LOOKUP_LOG.with(|l| l.borrow_mut().extend_from_slice(lookups));
+    INLINE_LOG.with(|c| c.set(c.get() + inlined));
 }
 
 /// Abstract operand kind for the lowering-time type recovery.
@@ -1690,6 +1701,8 @@ struct TMachine<'i> {
     prof: Option<DispatchProfile>,
     /// Per-execution memo of cache lookups (one per method, first call).
     lowered: Vec<Option<Arc<ThreadedCode>>>,
+    /// The cache keys of those lookups, in execution order.
+    lookups: Vec<u64>,
     /// Leaf calls executed inline this run (drained into the thread-local
     /// log for telemetry; never part of the [`Outcome`]).
     inlined: u64,
@@ -1701,6 +1714,11 @@ struct TMachine<'i> {
 /// the same `interp_run` trace span and `InterpRuns`/`InterpSteps`
 /// counters, so traced journals are byte-identical across exec modes.
 pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
+    execute(image, config).0
+}
+
+/// [`run`], also returning the run's side effects for the execution memo.
+pub(crate) fn execute(image: &Image, config: &ExecConfig) -> (Outcome, Effects) {
     let _trace = jtelemetry::trace_span("interp_run", Vec::new);
     let mut statics = RegFile::default();
     for class in &image.classes {
@@ -1723,6 +1741,7 @@ pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
         output: Vec::new(),
         prof: jtelemetry::profiling().then(|| DispatchProfile::new(image.methods.len())),
         lowered: vec![None; image.methods.len()],
+        lookups: Vec::new(),
         inlined: 0,
     };
     // Class lock objects occupy ids 0..n_classes, so `ClassObj(c)` is
@@ -1744,17 +1763,24 @@ pub fn run(image: &Image, config: &ExecConfig) -> Outcome {
     }
     jtelemetry::count(jtelemetry::Counter::InterpRuns, 1);
     jtelemetry::count(jtelemetry::Counter::InterpSteps, machine.stats.steps);
-    INLINE_LOG.with(|c| c.set(c.get() + machine.inlined));
+    log_lookups(&machine.lookups, machine.inlined);
     INLINE_TOTAL.fetch_add(machine.inlined, Ordering::Relaxed);
-    if let Some(prof) = &machine.prof {
-        prof.flush(&machine.lowered, machine.stats.steps);
-    }
-    Outcome {
+    let profile = machine
+        .prof
+        .as_ref()
+        .map(|prof| prof.flush(&machine.lowered, machine.stats.steps));
+    let effects = Effects {
+        lookups: machine.lookups,
+        inlined: machine.inlined,
+        profile,
+    };
+    let outcome = Outcome {
         output: machine.output,
         error,
         stats: machine.stats,
         profile: machine.profile,
-    }
+    };
+    (outcome, effects)
 }
 
 impl<'i> TMachine<'i> {
@@ -1762,7 +1788,16 @@ impl<'i> TMachine<'i> {
         if let Some(tc) = &self.lowered[mid] {
             return Arc::clone(tc);
         }
-        let tc = lookup_or_lower(self.image, mid);
+        self.look_up(mid)
+    }
+
+    /// A method's first call in this run: the code-cache lookup, kept
+    /// out of line so the dispatch loop's call path stays small.
+    #[cold]
+    #[inline(never)]
+    fn look_up(&mut self, mid: usize) -> Arc<ThreadedCode> {
+        let (key, tc) = lookup_or_lower(self.image, mid);
+        self.lookups.push(key);
         self.lowered[mid] = Some(Arc::clone(&tc));
         tc
     }

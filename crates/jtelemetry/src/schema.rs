@@ -47,6 +47,27 @@ impl Json {
     }
 }
 
+/// Escapes `s` for a JSON string literal, without the surrounding quotes:
+/// `"`, `\` and control characters (`\n`, `\r`, `\t` by name, the rest
+/// as `\u00XX`). The one JSON string escaper every hand-written JSON
+/// document of the workspace goes through — telemetry exports, campaign
+/// journals, corpus manifests and the daemon's responses.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Deepest array/object nesting [`parse_json`] accepts. Documents this
 /// workspace writes nest a few levels; the limit bounds the recursive
 /// parser's stack use on hostile input, such as an HTTP body of a
@@ -347,8 +368,18 @@ pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
         "counters",
         &counter_keys,
     )?;
+    let counters = root.get("counters").expect("checked");
     for key in &counter_keys {
-        want_num(root.get("counters").expect("checked"), key)?;
+        want_num(counters, key)?;
+    }
+    // Every execution-memo lookup is one tier run, executed or replayed,
+    // and every tier run counts as an interpreter run.
+    let memo = want_num(counters, "exec_memo_hits")? + want_num(counters, "exec_memo_misses")?;
+    let runs = want_num(counters, "interp_runs")?;
+    if memo > runs {
+        return Err(format!(
+            "counters: exec_memo_hits + exec_memo_misses = {memo} exceeds interp_runs = {runs}"
+        ));
     }
     let gauge_keys: Vec<&str> = Gauge::ALL.iter().map(Gauge::key).collect();
     check_key_set(want(&root, "gauges", "object")?, "gauges", &gauge_keys)?;
@@ -883,6 +914,17 @@ mod tests {
     }
 
     #[test]
+    fn escapes_json_strings() {
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("\r\t\u{1}é"), "\\r\\t\\u0001é");
+        let text = format!("\"{}\"", escape_json("q\"\\\u{1f}\n"));
+        assert_eq!(
+            parse_json(&text),
+            Ok(Json::Str("q\"\\\u{1f}\n".to_string()))
+        );
+    }
+
+    #[test]
     fn validator_rejects_wrong_version() {
         let snap = crate::metrics::MetricsSnapshot {
             schema_version: SCHEMA_VERSION + 1,
@@ -913,6 +955,21 @@ mod tests {
         assert!(err.contains("empty comp"), "{err}");
         snap.superops[0].comp = vec!["Load".to_string(), "Arith".to_string()];
         validate_snapshot_line(&crate::export::jsonl_line(&snap)).expect("valid row");
+    }
+
+    #[test]
+    fn validator_rejects_memo_lookups_beyond_interp_runs() {
+        let mut snap = crate::metrics::MetricsSnapshot::empty();
+        let set = |snap: &mut crate::metrics::MetricsSnapshot, key: &str, v: u64| {
+            snap.counters.iter_mut().find(|c| c.0 == key).unwrap().1 = v;
+        };
+        set(&mut snap, "interp_runs", 10);
+        set(&mut snap, "exec_memo_hits", 7);
+        set(&mut snap, "exec_memo_misses", 3);
+        validate_snapshot_line(&crate::export::jsonl_line(&snap)).expect("valid counts");
+        set(&mut snap, "exec_memo_misses", 4);
+        let err = validate_snapshot_line(&crate::export::jsonl_line(&snap)).unwrap_err();
+        assert!(err.contains("exceeds interp_runs"), "{err}");
     }
 
     #[test]

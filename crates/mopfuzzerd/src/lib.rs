@@ -27,7 +27,10 @@
 mod http;
 mod registry;
 
-pub use http::{esc, read_request, respond, Request};
+pub use http::{read_request, respond, Request};
+/// Escapes a string for embedding in a JSON document (the daemon writes
+/// all of its JSON by hand, like every other crate in the workspace).
+pub use jtelemetry::schema::escape_json as esc;
 pub use registry::{
     CampaignSpec, CampaignStatus, Registry, State, CAMPAIGNS_DIR, JOURNAL_FILE, SPEC_FILE,
     STATUS_FILE,

@@ -26,7 +26,7 @@
 //! re-adopts it and continues the journal bit-identically), and
 //! `failed` (the campaign returned an error).
 
-use crate::http::esc;
+use crate::esc;
 use jtelemetry::schema::{parse_json, Json};
 use jtelemetry::MetricsSnapshot;
 use jvmsim::JvmSpec;

@@ -170,7 +170,9 @@ fn journaled_flight_dumps_name_the_failing_site() {
 /// wall-clock scheduler lane is suppressed under a manual clock, so the
 /// whole export — ids, parents, timestamps, durations — is a pure
 /// function of the campaign. The profiler's per-opcode and
-/// per-superinstruction tables, absorbed in merge order, are too.
+/// per-superinstruction tables, absorbed in merge order, are too, and so
+/// are the execution-memo counters, although which runs hit the live
+/// memo depends on scheduling.
 #[test]
 fn traces_are_byte_identical_across_worker_counts() {
     let seeds = corpus::builtin();
@@ -190,10 +192,15 @@ fn traces_are_byte_identical_across_worker_counts() {
         let trace = trace_json(&session, &meta).expect("tracing session exports a trace");
         validate_trace(&trace).expect("trace export valid");
         let snap = session.snapshot();
-        exports.push((result, trace, snap.opcodes, snap.superops));
+        let memo = (
+            snap.counter("exec_memo_hits"),
+            snap.counter("exec_memo_misses"),
+        );
+        exports.push((result, trace, snap.opcodes, snap.superops, memo));
     }
-    let (serial_result, serial_trace, serial_ops, serial_superops) = &exports[0];
-    let (parallel_result, parallel_trace, parallel_ops, parallel_superops) = &exports[1];
+    let (serial_result, serial_trace, serial_ops, serial_superops, serial_memo) = &exports[0];
+    let (parallel_result, parallel_trace, parallel_ops, parallel_superops, parallel_memo) =
+        &exports[1];
     assert_eq!(serial_result, parallel_result);
     assert_eq!(
         serial_trace, parallel_trace,
@@ -210,6 +217,14 @@ fn traces_are_byte_identical_across_worker_counts() {
     assert_eq!(
         serial_superops, parallel_superops,
         "superinstruction tables must not depend on worker count"
+    );
+    assert!(
+        serial_memo.0 > 0 && serial_memo.1 > 0,
+        "the pool JVMs share tier runs: {serial_memo:?}"
+    );
+    assert_eq!(
+        serial_memo, parallel_memo,
+        "execution-memo counters must not depend on worker count"
     );
     for name in ["tier0_run", "jit_compile", "lower_install", "final_run"] {
         assert!(
