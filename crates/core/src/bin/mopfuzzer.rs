@@ -19,10 +19,14 @@
 //! `--resume FILE` continues with bit-identical results.
 
 use jvmsim::{FaultPlan, JvmSpec, RunOptions};
+use mopfuzzer::spec::{
+    check_jobs, default_oracle_jobs, resolve_workers, DEFAULT_ITERATIONS, DEFAULT_SEED,
+};
 use mopfuzzer::{
     differential_jobs, fuzz, resume_campaign_extended, run_campaign_observed,
     run_campaign_with_journal_observed, run_corpus_campaign, CampaignConfig, CampaignObserver,
-    CampaignResult, CorpusOptions, FuzzConfig, OracleVerdict, SupervisorConfig, Variant,
+    CampaignResult, CampaignSpec, CorpusOptions, FuzzConfig, OracleVerdict, SupervisorConfig,
+    Variant,
 };
 use std::collections::HashMap;
 use std::io::{IsTerminal, Write};
@@ -213,15 +217,16 @@ fn print_usage() {
                                    a wedged mutant cannot stall the\n\
                                    campaign. Journals stay bit-identical\n\
                                    at any --jobs x --oracle-jobs\n\
-           --jobs N                worker threads executing rounds (default:\n\
-                                   all hardware threads). Journals, results\n\
-                                   and corpus flushes are bit-identical at\n\
-                                   any worker count\n\
+           --jobs N                worker threads executing rounds, 1-256\n\
+                                   (default: all hardware threads). Journals,\n\
+                                   results and corpus flushes are\n\
+                                   bit-identical at any worker count\n\
            --oracle-jobs N         worker threads per differential-oracle\n\
-                                   invocation (default: hardware threads not\n\
-                                   taken by --jobs, min 1). Shares one pool\n\
-                                   with --jobs; results are bit-identical at\n\
-                                   any --jobs x --oracle-jobs combination\n\
+                                   invocation, 1-256 (default: hardware\n\
+                                   threads not taken by --jobs, min 1).\n\
+                                   Shares one pool with --jobs; results are\n\
+                                   bit-identical at any --jobs x\n\
+                                   --oracle-jobs combination\n\
            --retries N             retries per faulted round (default 2)\n\
            --quarantine-threshold N  failed rounds before a (seed, mutator)\n\
                                    pair is quarantined (default 2)\n\
@@ -298,19 +303,21 @@ struct CliOptions {
     fault: Option<FaultPlan>,
 }
 
-/// `--jobs` default: every hardware thread. Campaign output is identical
-/// at any worker count, so there is no correctness reason to default low.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
-/// `--oracle-jobs` default: the hardware threads `--jobs` left over (at
-/// least 1, i.e. a serial oracle). Both engines draw from one shared
-/// process-wide pool, so this default never oversubscribes: with `--jobs`
-/// saturating the machine the oracle stays serial, and with a small
-/// `--jobs` the idle threads fan out differential executions instead.
-fn default_oracle_jobs(jobs: usize) -> usize {
-    default_jobs().saturating_sub(jobs).max(1)
+impl CliOptions {
+    /// The campaign the flags name, with every default resolved by
+    /// [`CampaignSpec`]'s rules — the ones a `mopfuzzerd` tenant gets.
+    fn spec(&self) -> CampaignSpec {
+        let (jobs, oracle_jobs) = resolve_workers(self.jobs, self.oracle_jobs);
+        CampaignSpec {
+            rounds: self.rounds.unwrap_or(0),
+            rng_seed: self.rng,
+            iterations: self.iterations,
+            corpus: self.corpus.clone(),
+            jobs,
+            oracle_jobs,
+            round_timeout_ms: self.supervisor.round_wall_timeout_ms,
+        }
+    }
 }
 
 fn parse_args(args: &[String]) -> Result<CliOptions, String> {
@@ -419,8 +426,8 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         guided: map
             .get("enable_profile_guide")
             .is_none_or(|v| *v != "false"),
-        iterations: num(&map, "iterations")?.unwrap_or(50),
-        rng: num(&map, "rng")?.unwrap_or(0),
+        iterations: num(&map, "iterations")?.unwrap_or(DEFAULT_ITERATIONS),
+        rng: num(&map, "rng")?.unwrap_or(DEFAULT_SEED),
         out: map
             .get("out")
             .map_or_else(|| PathBuf::from("mutants"), PathBuf::from),
@@ -434,14 +441,12 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
         corpus: map.get("corpus").map(PathBuf::from),
         promote_threshold: num(&map, "promote-threshold")?,
         gc_streak: num(&map, "gc-streak")?,
-        jobs: match num::<usize>(&map, "jobs")? {
-            Some(0) => return Err("bad --jobs (must be >= 1)".to_string()),
-            jobs => jobs,
-        },
-        oracle_jobs: match num::<usize>(&map, "oracle-jobs")? {
-            Some(0) => return Err("bad --oracle-jobs (must be >= 1)".to_string()),
-            oracle_jobs => oracle_jobs,
-        },
+        jobs: num(&map, "jobs")?
+            .map(|n| check_jobs("--jobs", n))
+            .transpose()?,
+        oracle_jobs: num(&map, "oracle-jobs")?
+            .map(|n| check_jobs("--oracle-jobs", n))
+            .transpose()?,
         exec_mode: match map.get("exec-mode").copied() {
             None | Some("threaded") => jexec::ExecMode::Threaded,
             Some("interp") => jexec::ExecMode::Interp,
@@ -650,23 +655,17 @@ fn finish_telemetry(options: &CliOptions, meta: &[(&str, String)]) -> Result<(),
 }
 
 fn run_campaign_mode(options: &CliOptions) -> Result<(), String> {
-    let jobs = options.jobs.unwrap_or_else(default_jobs);
+    // The spec's campaign, adjusted by the flags a daemon tenant lacks.
     let config = CampaignConfig {
-        iterations_per_seed: options.iterations,
         variant: if options.guided {
             Variant::Full
         } else {
             Variant::NoGuidance
         },
-        rounds: options.rounds.unwrap_or(0),
         pool: options.jdks.clone(),
-        rng_seed: options.rng,
         supervisor: options.supervisor.clone(),
         fault: options.fault.clone(),
-        jobs,
-        oracle_jobs: options
-            .oracle_jobs
-            .unwrap_or_else(|| default_oracle_jobs(jobs)),
+        ..options.spec().config()
     };
     if let Some(dir) = &options.corpus {
         return run_corpus_campaign_mode(options, &config, dir);
@@ -695,16 +694,7 @@ fn run_campaign_mode(options: &CliOptions) -> Result<(), String> {
     if let Some(sink) = &sink {
         sink.finish();
     }
-    finish_telemetry(
-        options,
-        &trace_meta(
-            config.jobs,
-            config.oracle_jobs,
-            config.rounds,
-            config.rng_seed,
-            started,
-        ),
-    )?;
+    finish_telemetry(options, &trace_meta(&config, started))?;
     print_campaign_summary(&result, streaming);
     maybe_print_interrupted(&result, options.journal.as_deref(), streaming);
     Ok(())
@@ -750,16 +740,7 @@ fn run_corpus_campaign_mode(
     if let Some(sink) = &sink {
         sink.finish();
     }
-    finish_telemetry(
-        options,
-        &trace_meta(
-            config.jobs,
-            config.oracle_jobs,
-            config.rounds,
-            config.rng_seed,
-            started,
-        ),
-    )?;
+    finish_telemetry(options, &trace_meta(config, started))?;
     print_campaign_summary(&result, streaming);
     maybe_print_interrupted(&result, options.journal.as_deref(), streaming);
     Ok(())
@@ -990,18 +971,12 @@ fn load_java_dir(dir: &Path) -> Result<Vec<mopfuzzer::Seed>, String> {
 
 /// `otherData` entries for the trace export — the campaign's identity
 /// plus the wall-clock elapsed since the session was installed.
-fn trace_meta(
-    jobs: usize,
-    oracle_jobs: usize,
-    rounds: usize,
-    rng_seed: u64,
-    started: std::time::Instant,
-) -> Vec<(&'static str, String)> {
+fn trace_meta(config: &CampaignConfig, started: std::time::Instant) -> Vec<(&'static str, String)> {
     vec![
-        ("jobs", jobs.to_string()),
-        ("oracle_jobs", oracle_jobs.to_string()),
-        ("rounds", rounds.to_string()),
-        ("rng_seed", rng_seed.to_string()),
+        ("jobs", config.jobs.to_string()),
+        ("oracle_jobs", config.oracle_jobs.to_string()),
+        ("rounds", config.rounds.to_string()),
+        ("rng_seed", config.rng_seed.to_string()),
         ("campaign_wall_ns", started.elapsed().as_nanos().to_string()),
     ]
 }
@@ -1026,30 +1001,25 @@ fn run_resume(journal: &Path, options: &CliOptions) -> Result<(), String> {
     let mut sink = metrics_sink(options)?;
     let started = std::time::Instant::now();
     let observer = sink.as_mut().map(|s| s as &mut dyn CampaignObserver);
-    let jobs = options.jobs.unwrap_or_else(default_jobs);
-    let oracle_jobs = options
-        .oracle_jobs
-        .unwrap_or_else(|| default_oracle_jobs(jobs));
+    let spec = options.spec();
     let result = resume_campaign_extended(
         journal,
         options.rounds,
-        Some(jobs),
-        Some(oracle_jobs),
+        Some(spec.jobs),
+        Some(spec.oracle_jobs),
         observer,
     )?;
     if let Some(sink) = &sink {
         sink.finish();
     }
-    finish_telemetry(
-        options,
-        &trace_meta(
-            jobs,
-            oracle_jobs,
-            options.rounds.unwrap_or(0),
-            options.rng,
-            started,
-        ),
-    )?;
+    // The campaign's identity is the journal's, not the flags': resume
+    // rewrote the header with any --rounds extension applied.
+    let config = CampaignConfig {
+        jobs: spec.jobs,
+        oracle_jobs: spec.oracle_jobs,
+        ..mopfuzzer::journal::read_config(journal)?
+    };
+    finish_telemetry(options, &trace_meta(&config, started))?;
     print_campaign_summary(&result, streaming);
     maybe_print_interrupted(&result, Some(journal), streaming);
     Ok(())
@@ -1202,7 +1172,9 @@ fn run(options: &CliOptions) -> Result<(), String> {
         } else {
             // Plain mode has no round-level workers, so by default the
             // oracle may fan out across every hardware thread.
-            let oracle_jobs = options.oracle_jobs.unwrap_or_else(default_jobs);
+            let oracle_jobs = options
+                .oracle_jobs
+                .unwrap_or_else(|| default_oracle_jobs(0));
             let diff = differential_jobs(
                 &outcome.final_mutant,
                 &options.jdks,

@@ -46,6 +46,7 @@ pub mod journal;
 pub mod mutators;
 pub mod oracle;
 mod pool;
+pub mod spec;
 pub mod stats;
 pub mod supervisor;
 pub mod variant;
@@ -65,5 +66,6 @@ pub use journal::{
 };
 pub use mutators::{all_mutators, Mutation, Mutator, MutatorKind};
 pub use oracle::{differential, differential_jobs, DifferentialResult, OracleVerdict};
+pub use spec::CampaignSpec;
 pub use supervisor::{BudgetKind, Quarantine, RoundError, RoundFailure, SupervisorConfig};
 pub use variant::Variant;

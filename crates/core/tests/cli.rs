@@ -284,6 +284,83 @@ fn trace_out_writes_a_perfetto_loadable_trace() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A resumed campaign's trace names the journaled campaign: its seed and
+/// round total come from the journal header (with any `--rounds`
+/// extension), not from flags the resume did not repeat.
+#[test]
+fn resumed_trace_records_the_journaled_campaign() {
+    let dir = std::env::temp_dir().join(format!("mop_cli_resume_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("campaign.jsonl");
+    let trace = dir.join("trace.json");
+    let out = bin()
+        .args([
+            "--rounds",
+            "2",
+            "--iterations",
+            "4",
+            "--rng",
+            "9007199254740993",
+        ])
+        .args([
+            "--jdk",
+            "HotSpur-17,J9-17",
+            "--journal",
+            journal.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let other_data = |resume_args: &[&str]| {
+        let out = bin()
+            .args(["--resume", journal.to_str().unwrap()])
+            .args(resume_args)
+            .args(["--trace-out", trace.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&trace).expect("trace written");
+        jtelemetry::schema::validate_trace(&text).expect("trace valid");
+        let json = jtelemetry::schema::parse_json(&text).unwrap();
+        let field = |key: &str| {
+            json.get("otherData")
+                .and_then(|o| o.get(key))
+                .and_then(jtelemetry::schema::Json::as_str)
+                .map(str::to_string)
+        };
+        (field("rng_seed"), field("rounds"))
+    };
+    let journaled = (Some("9007199254740993".to_string()), Some("2".to_string()));
+    assert_eq!(other_data(&[]), journaled);
+    let extended = (Some("9007199254740993".to_string()), Some("3".to_string()));
+    assert_eq!(other_data(&["--rounds", "3"]), extended);
+    // The extension is journaled, so a plain resume reports it too.
+    assert_eq!(other_data(&[]), extended);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--jobs` and `--oracle-jobs` share the daemon's worker ceiling.
+#[test]
+fn worker_counts_above_the_ceiling_are_rejected() {
+    for flag in ["--jobs", "--oracle-jobs"] {
+        let out = bin()
+            .args(["--rounds", "1", flag, "257"])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("must be between 1 and 256"), "{stderr}");
+    }
+}
+
 /// `--metrics-out -` and `--trace-out -` stream machine-readable output
 /// to stdout; every stdout line must stay parseable (human banner,
 /// report, and summary all move to stderr).

@@ -67,7 +67,7 @@ use crate::fingerprint::{fingerprint_hex, parse_fingerprint, source_hash};
 use crate::lock::{StoreLock, DEFAULT_LOCK_TIMEOUT};
 use crate::schedule::energy;
 use crate::vfs::{self, Vfs};
-use jtelemetry::schema::{escape_json, parse_json, Json};
+use jtelemetry::schema::{escape_json, parse_json, req_f64, req_str, req_u64, Json};
 use mjava::Program;
 use std::collections::BTreeSet;
 #[cfg(test)]
@@ -1002,19 +1002,15 @@ pub(crate) fn shards_marker(shards: usize) -> String {
 
 pub(crate) fn parse_shards_marker(text: &str) -> Result<usize, String> {
     let json = parse_json(text.lines().next().unwrap_or(""))?;
-    match json.get("type") {
-        Some(Json::Str(t)) if t == "jcorpus-shards" => {}
-        _ => return Err("not a jcorpus shards marker".to_string()),
+    if json.get("type").and_then(Json::as_str) != Some("jcorpus-shards") {
+        return Err("not a jcorpus shards marker".to_string());
     }
-    match json.get("version") {
-        Some(Json::Num(v)) if *v == 1.0 => {}
-        Some(Json::Num(v)) => return Err(format!("unsupported shards version {v}")),
-        _ => return Err("missing shards version".to_string()),
+    match req_u64(&json, "version")? {
+        1 => {}
+        v => return Err(format!("unsupported shards version {v}")),
     }
-    match json.get("shards") {
-        Some(Json::Num(n)) if n.fract() == 0.0 && (1.0..=MAX_SHARDS as f64).contains(n) => {
-            Ok(*n as usize)
-        }
+    match json.get("shards").and_then(Json::as_usize) {
+        Some(n) if (1..=MAX_SHARDS).contains(&n) => Ok(n),
         _ => Err(format!("shard count must be 1..={MAX_SHARDS}")),
     }
 }
@@ -1153,38 +1149,14 @@ pub(crate) fn encode_tombstone(t: &Tombstone) -> String {
 
 pub(crate) fn check_header(line: &str) -> Result<(), String> {
     let json = parse_json(line)?;
-    match json.get("type") {
-        Some(Json::Str(t)) if t == "jcorpus" => {}
-        _ => return Err("not a jcorpus manifest".to_string()),
+    if json.get("type").and_then(Json::as_str) != Some("jcorpus") {
+        return Err("not a jcorpus manifest".to_string());
     }
-    match json.get("version") {
-        // v1 manifests predate source hashes, floor streaks, and
-        // tombstones; all three default sensibly on decode.
-        Some(Json::Num(v)) if *v == 1.0 || *v == STORE_VERSION as f64 => Ok(()),
-        Some(Json::Num(v)) => Err(format!("unsupported store version {v}")),
-        _ => Err("missing store version".to_string()),
-    }
-}
-
-fn str_field(obj: &Json, key: &str) -> Result<String, String> {
-    match obj.get(key) {
-        Some(Json::Str(s)) => Ok(s.clone()),
-        _ => Err(format!("missing string field {key:?}")),
-    }
-}
-
-fn u64_field(obj: &Json, key: &str) -> Result<u64, String> {
-    match obj.get(key) {
-        Some(Json::Num(n)) if *n >= 0.0 && n.fract() == 0.0 => Ok(*n as u64),
-        _ => Err(format!("missing integer field {key:?}")),
-    }
-}
-
-/// Optional integer field, for v2 additions absent from v1 manifests.
-fn opt_u64_field(obj: &Json, key: &str, default: u64) -> Result<u64, String> {
-    match obj.get(key) {
-        None => Ok(default),
-        Some(_) => u64_field(obj, key),
+    // v1 manifests predate source hashes, floor streaks, and tombstones;
+    // all three default sensibly on decode.
+    match req_u64(&json, "version")? {
+        1 | STORE_VERSION => Ok(()),
+        v => Err(format!("unsupported store version {v}")),
     }
 }
 
@@ -1197,11 +1169,11 @@ pub(crate) enum Decoded {
 
 pub(crate) fn decode_line(line: &str) -> Result<Decoded, String> {
     let json = parse_json(line)?;
-    if let Some(Json::Bool(true)) = json.get("tombstone") {
+    if json.get("tombstone").and_then(Json::as_bool) == Some(true) {
         return Ok(Decoded::Tomb(Tombstone {
-            id: str_field(&json, "id")?,
-            name: str_field(&json, "name")?,
-            fingerprint: parse_fingerprint(&str_field(&json, "fingerprint")?)?,
+            id: req_str(&json, "id")?,
+            name: req_str(&json, "name")?,
+            fingerprint: parse_fingerprint(&req_str(&json, "fingerprint")?)?,
         }));
     }
     let parent = match json.get("parent") {
@@ -1209,29 +1181,29 @@ pub(crate) fn decode_line(line: &str) -> Result<Decoded, String> {
         Some(Json::Null) | None => None,
         Some(other) => return Err(format!("bad parent: {other:?}")),
     };
-    let yield_sum = match json.get("yield_sum") {
-        Some(Json::Num(n)) => *n,
-        _ => return Err("missing number field \"yield_sum\"".to_string()),
-    };
     let (source_hash, has_hash) = match json.get("source_hash") {
         Some(Json::Str(s)) => (parse_fingerprint(s)?, true),
         _ => (0, false),
     };
     Ok(Decoded::Live(
         Entry {
-            id: str_field(&json, "id")?,
-            name: str_field(&json, "name")?,
-            fingerprint: parse_fingerprint(&str_field(&json, "fingerprint")?)?,
+            id: req_str(&json, "id")?,
+            name: req_str(&json, "name")?,
+            fingerprint: parse_fingerprint(&req_str(&json, "fingerprint")?)?,
             source_hash,
-            provenance: Provenance::from_str(&str_field(&json, "provenance")?)?,
+            provenance: Provenance::from_str(&req_str(&json, "provenance")?)?,
             parent,
             stats: EntryStats {
-                schedules: u64_field(&json, "schedules")?,
-                yield_sum,
-                faults: u64_field(&json, "faults")?,
-                bugs: u64_field(&json, "bugs")?,
+                schedules: req_u64(&json, "schedules")?,
+                yield_sum: req_f64(&json, "yield_sum")?,
+                faults: req_u64(&json, "faults")?,
+                bugs: req_u64(&json, "bugs")?,
             },
-            floor_streak: opt_u64_field(&json, "floor_streak", 0)?,
+            // A v2 addition, absent from v1 manifests.
+            floor_streak: match json.get("floor_streak") {
+                None => 0,
+                Some(_) => req_u64(&json, "floor_streak")?,
+            },
         },
         has_hash,
     ))
@@ -1248,7 +1220,7 @@ pub fn read_quarantine_dir(dir: &Path) -> Result<Vec<(String, Option<String>)>, 
 /// Decodes one quarantine line into its `(seed, mutator)` pair.
 pub(crate) fn decode_quarantine_line(line: &str) -> Result<(String, Option<String>), String> {
     let json = parse_json(line)?;
-    let seed = str_field(&json, "seed")?;
+    let seed = req_str(&json, "seed")?;
     let mutator = match json.get("mutator") {
         Some(Json::Str(s)) => Some(s.clone()),
         Some(Json::Null) => None,

@@ -36,24 +36,20 @@ struct Event {
 }
 
 fn num(event: &Json, key: &str) -> u64 {
-    match event.get(key) {
-        Some(Json::Num(n)) => *n as u64,
-        _ => 0,
-    }
+    event.get(key).and_then(Json::as_u64).unwrap_or(0)
 }
 
 fn arg_u64(event: &Json, key: &str) -> u64 {
-    match event.get("args").and_then(|a| a.get(key)) {
-        Some(Json::Str(s)) => s.parse().unwrap_or(0),
-        _ => 0,
-    }
+    event
+        .get("args")
+        .and_then(|a| a.get(key))
+        .and_then(Json::as_str)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0)
 }
 
-fn meta_str<'a>(other: &'a Json, key: &str) -> Option<&'a str> {
-    match other.get(key) {
-        Some(Json::Str(s)) => Some(s.as_str()),
-        _ => None,
-    }
+fn str_of<'a>(obj: &'a Json, key: &str) -> Option<&'a str> {
+    obj.get(key).and_then(Json::as_str)
 }
 
 fn fmt_wall(nanos: u64) -> String {
@@ -94,37 +90,34 @@ fn child_sums(events: &[Event], id: u64) -> BTreeMap<String, (u64, u64, u64)> {
 fn report(trace_text: &str, metrics_text: Option<&str>, top: usize) -> Result<String, String> {
     validate_trace(trace_text)?;
     let root = parse_json(trace_text)?;
-    let raw = match root.get("traceEvents") {
-        Some(Json::Arr(items)) => items,
-        _ => return Err("no traceEvents".to_string()),
-    };
+    let raw = root
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .ok_or("no traceEvents")?;
     let other = root.get("otherData").cloned().unwrap_or(Json::Null);
     let events: Vec<Event> = raw
         .iter()
         .map(|e| Event {
-            name: match e.get("name") {
-                Some(Json::Str(s)) => s.clone(),
-                _ => String::new(),
-            },
+            name: str_of(e, "name").unwrap_or_default().to_string(),
             pid: num(e, "pid"),
             id: arg_u64(e, "id"),
             parent: arg_u64(e, "parent"),
             dur_steps: arg_u64(e, "dur_steps"),
             wall_ns: arg_u64(e, "wall_ns"),
-            instant: matches!(e.get("ph"), Some(Json::Str(s)) if s == "i"),
+            instant: str_of(e, "ph") == Some("i"),
         })
         .collect();
 
     let mut out = String::new();
-    let clock = meta_str(&other, "clock").unwrap_or("?");
-    let jobs: u64 = meta_str(&other, "jobs")
+    let clock = str_of(&other, "clock").unwrap_or("?");
+    let jobs: u64 = str_of(&other, "jobs")
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
     out.push_str(&format!(
         "== trace report ==\nevents: {} (clock: {clock}, jobs: {jobs}",
         events.len()
     ));
-    if let Some(oj) = meta_str(&other, "oracle_jobs") {
+    if let Some(oj) = str_of(&other, "oracle_jobs") {
         out.push_str(&format!(", oracle-jobs: {oj}"));
     }
     out.push_str(")\n");
@@ -226,7 +219,7 @@ fn report(trace_text: &str, metrics_text: Option<&str>, top: usize) -> Result<St
             .iter()
             .filter(|e| e.name == "speculation_wasted")
             .count();
-        let campaign_wall: u64 = meta_str(&other, "campaign_wall_ns")
+        let campaign_wall: u64 = str_of(&other, "campaign_wall_ns")
             .and_then(|s| s.parse().ok())
             .unwrap_or(0);
         out.push_str(&format!(
@@ -258,22 +251,16 @@ fn report(trace_text: &str, metrics_text: Option<&str>, top: usize) -> Result<St
             .rfind(|l| !l.trim().is_empty())
             .ok_or_else(|| "metrics stream has no snapshot lines".to_string())?;
         let snap = parse_json(last)?;
-        let mut opcodes: Vec<(String, u64, u64)> = match snap.get("opcodes") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|o| {
-                    (
-                        match o.get("name") {
-                            Some(Json::Str(s)) => s.clone(),
-                            _ => String::new(),
-                        },
-                        num(o, "hits"),
-                        num(o, "nanos"),
-                    )
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
+        let mut opcodes: Vec<(String, u64, u64)> = snap
+            .get("opcodes")
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .map(|o| {
+                let name = str_of(o, "name").unwrap_or_default().to_string();
+                (name, num(o, "hits"), num(o, "nanos"))
+            })
+            .collect();
         if opcodes.is_empty() {
             out.push_str("opcodes: none recorded (run with --profile)\n");
         } else {
@@ -290,29 +277,20 @@ fn report(trace_text: &str, metrics_text: Option<&str>, top: usize) -> Result<St
                 ));
             }
         }
-        let mut superops: Vec<(String, u64, u64)> = match snap.get("superops") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|s| {
-                    let mut label = match s.get("kind") {
-                        Some(Json::Str(k)) => k.clone(),
-                        _ => String::new(),
-                    };
-                    if let Some(Json::Arr(comp)) = s.get("comp") {
-                        let names: Vec<&str> = comp
-                            .iter()
-                            .filter_map(|c| match c {
-                                Json::Str(n) => Some(n.as_str()),
-                                _ => None,
-                            })
-                            .collect();
-                        label = format!("{label} [{}]", names.join(" "));
-                    }
-                    (label, num(s, "hits"), num(s, "nanos"))
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
+        let mut superops: Vec<(String, u64, u64)> = snap
+            .get("superops")
+            .and_then(Json::as_arr)
+            .unwrap_or_default()
+            .iter()
+            .map(|s| {
+                let mut label = str_of(s, "kind").unwrap_or_default().to_string();
+                if let Some(comp) = s.get("comp").and_then(Json::as_arr) {
+                    let names: Vec<&str> = comp.iter().filter_map(Json::as_str).collect();
+                    label = format!("{label} [{}]", names.join(" "));
+                }
+                (label, num(s, "hits"), num(s, "nanos"))
+            })
+            .collect();
         if !superops.is_empty() {
             superops.sort_by(|a, b| b.2.cmp(&a.2).then(b.1.cmp(&a.1)));
             let total_nanos: u64 = superops.iter().map(|s| s.2).sum();

@@ -6,21 +6,26 @@
 //! keys, missing families, or a version bump without a schema update all
 //! fail — so writer/reader drift is caught the moment it is introduced.
 //!
-//! The JSON parser below is a deliberately small hand-rolled subset
-//! (objects, arrays, strings, numbers, bools, null): the workspace is
-//! dependency-free by construction.
+//! The JSON parser below is the workspace's one JSON reader — telemetry
+//! exports, campaign journals, corpus manifests and the daemon's request
+//! bodies all go through [`parse_json`]. It is a deliberately small
+//! hand-rolled subset (objects, arrays, strings, numbers, bools, null):
+//! the workspace is dependency-free by construction.
 
 use crate::export::PROM_PREFIX;
 use crate::metrics::{Counter, Gauge, HIST_BUCKETS, SCHEMA_VERSION};
 use std::collections::BTreeMap;
 
-/// A parsed JSON value (numbers kept as `f64`; all inputs we emit are in
-/// exact-integer range or explicitly floating point).
+/// A parsed JSON value. Numbers keep their source text, so `u64` and
+/// `f64` values both read back exactly (an `f64` holds integers only up
+/// to 2^53); the typed accessors convert on demand and refuse what does
+/// not fit.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     Null,
     Bool(bool),
-    Num(f64),
+    /// The number as written, already checked to read as an `f64`.
+    Num(String),
     Str(String),
     Arr(Vec<Json>),
     Obj(BTreeMap<String, Json>),
@@ -45,6 +50,84 @@ impl Json {
             _ => None,
         }
     }
+
+    pub fn is_null(&self) -> bool {
+        matches!(self, Json::Null)
+    }
+
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The number as a `T`, when its text is exactly such a value: an
+    /// integer accessor refuses fractions, exponents, signs and overflow.
+    fn num<T: std::str::FromStr>(&self) -> Option<T> {
+        match self {
+            Json::Num(raw) => raw.parse().ok(),
+            _ => None,
+        }
+    }
+
+    pub fn as_u64(&self) -> Option<u64> {
+        self.num()
+    }
+
+    pub fn as_u32(&self) -> Option<u32> {
+        self.num()
+    }
+
+    pub fn as_usize(&self) -> Option<usize> {
+        self.num()
+    }
+
+    /// The number as an `f64` (non-finite spellings included).
+    pub fn as_f64(&self) -> Option<f64> {
+        self.num()
+    }
+}
+
+/// Member `key` of `obj`, or an error naming it.
+pub fn req<'j>(obj: &'j Json, key: &str) -> Result<&'j Json, String> {
+    obj.get(key).ok_or_else(|| format!("missing field {key:?}"))
+}
+
+/// String member `key` of `obj`.
+pub fn req_str(obj: &Json, key: &str) -> Result<String, String> {
+    req(obj, key)?
+        .as_str()
+        .map(str::to_string)
+        .ok_or_else(|| format!("field {key:?} is not a string"))
+}
+
+/// Non-negative integer member `key` of `obj`, exact to the last bit.
+pub fn req_u64(obj: &Json, key: &str) -> Result<u64, String> {
+    req(obj, key)?
+        .as_u64()
+        .ok_or_else(|| format!("field {key:?} is not a u64"))
+}
+
+/// Numeric member `key` of `obj`.
+pub fn req_f64(obj: &Json, key: &str) -> Result<f64, String> {
+    req(obj, key)?
+        .as_f64()
+        .ok_or_else(|| format!("field {key:?} is not a number"))
 }
 
 /// Escapes `s` for a JSON string literal, without the surrounding quotes:
@@ -107,6 +190,7 @@ impl From<JsonError> for String {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -116,6 +200,7 @@ struct Parser<'a> {
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Parser<'a> {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -127,7 +212,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
@@ -154,7 +239,7 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9' | b'N' | b'i') => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
@@ -182,66 +267,75 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A number, kept as its text. Besides JSON's own syntax this takes
+    /// the non-finite spellings Rust's `{:?}` writes (`NaN`, `inf`,
+    /// `-inf`), which journals carry for degenerate deltas.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
+        let rest = &self.text[start..];
+        if let Some(word) = ["NaN", "inf", "-inf"]
+            .into_iter()
+            .find(|w| rest.starts_with(w))
+        {
+            self.pos += word.len();
+        } else {
+            while matches!(
+                self.peek(),
+                Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+            ) {
+                self.pos += 1;
+            }
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
+        let text = &self.text[start..self.pos];
+        match text.parse::<f64>() {
+            Ok(_) => Ok(Json::Num(text.to_string())),
+            Err(_) => Err(self.err(&format!("bad number '{text}'"))),
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err(&format!("bad number '{text}'")))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run up to the next quote or escape in one go: both
+            // are ASCII, so the run ends on a character boundary.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or_else(|| self.err("unterminated string"))?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .text
+                        .get(self.pos + 1..self.pos + 5)
+                        .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    let code = u32::from_str_radix(hex, 16).expect("four hex digits");
+                    // Only control characters are ever written as `\u`, so
+                    // a surrogate (or any non-scalar) is corruption.
+                    let c = char::from_u32(code)
+                        .ok_or_else(|| self.err(&format!("invalid code point {code:#x}")))?;
+                    out.push(c);
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -321,10 +415,16 @@ fn want<'a>(obj: &'a Json, key: &str, typ: &str) -> Result<&'a Json, String> {
     Ok(v)
 }
 
+fn want_arr<'a>(obj: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    Ok(want(obj, key, "array")?.as_arr().unwrap_or_default())
+}
+
+/// A finite number: exports never write `NaN` or infinities, so one is
+/// drift even though the parser reads them.
 fn want_num(obj: &Json, key: &str) -> Result<f64, String> {
-    match want(obj, key, "number")? {
-        Json::Num(n) => Ok(*n),
-        _ => unreachable!(),
+    match want(obj, key, "number")?.as_f64() {
+        Some(n) if n.is_finite() => Ok(n),
+        _ => Err(format!("key '{key}': expected a finite number")),
     }
 }
 
@@ -387,10 +487,7 @@ pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
         want_num(root.get("gauges").expect("checked"), key)?;
     }
 
-    let spans = match want(&root, "spans", "array")? {
-        Json::Arr(items) => items,
-        _ => unreachable!(),
-    };
+    let spans = want_arr(&root, "spans")?;
     for (i, span) in spans.iter().enumerate() {
         check_key_set(
             span,
@@ -409,28 +506,22 @@ pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
         want_num(span, "total_nanos")?;
         want_num(span, "self_nanos")?;
         want_num(span, "max_nanos")?;
-        match want(span, "buckets", "array")? {
-            Json::Arr(buckets) if buckets.len() == HIST_BUCKETS => {
-                for b in buckets {
-                    if !matches!(b, Json::Num(_)) {
-                        return Err(format!("spans[{i}]: non-numeric bucket"));
-                    }
-                }
-            }
-            Json::Arr(buckets) => {
-                return Err(format!(
-                    "spans[{i}]: expected {HIST_BUCKETS} buckets, got {}",
-                    buckets.len()
-                ))
-            }
-            _ => unreachable!(),
+        let buckets = want_arr(span, "buckets")?;
+        if buckets.len() != HIST_BUCKETS {
+            return Err(format!(
+                "spans[{i}]: expected {HIST_BUCKETS} buckets, got {}",
+                buckets.len()
+            ));
+        }
+        if !buckets
+            .iter()
+            .all(|b| b.as_f64().is_some_and(f64::is_finite))
+        {
+            return Err(format!("spans[{i}]: non-numeric bucket"));
         }
     }
 
-    let mutators = match want(&root, "mutators", "array")? {
-        Json::Arr(items) => items,
-        _ => unreachable!(),
-    };
+    let mutators = want_arr(&root, "mutators")?;
     for (i, m) in mutators.iter().enumerate() {
         check_key_set(
             m,
@@ -443,10 +534,7 @@ pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
         }
     }
 
-    let opcodes = match want(&root, "opcodes", "array")? {
-        Json::Arr(items) => items,
-        _ => unreachable!(),
-    };
+    let opcodes = want_arr(&root, "opcodes")?;
     for (i, o) in opcodes.iter().enumerate() {
         check_key_set(o, &format!("opcodes[{i}]"), &["name", "hits", "nanos"])?;
         want(o, "name", "string")?;
@@ -454,10 +542,7 @@ pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
         want_num(o, "nanos")?;
     }
 
-    let superops = match want(&root, "superops", "array")? {
-        Json::Arr(items) => items,
-        _ => unreachable!(),
-    };
+    let superops = want_arr(&root, "superops")?;
     for (i, s) in superops.iter().enumerate() {
         check_key_set(
             s,
@@ -465,13 +550,12 @@ pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
             &["kind", "comp", "hits", "nanos"],
         )?;
         want(s, "kind", "string")?;
-        match want(s, "comp", "array")? {
-            Json::Arr(names) if !names.is_empty() => {
-                if names.iter().any(|n| !matches!(n, Json::Str(_))) {
-                    return Err(format!("superops[{i}]: non-string opcode in comp"));
-                }
-            }
-            _ => return Err(format!("superops[{i}]: empty comp")),
+        let comp = want_arr(s, "comp")?;
+        if comp.is_empty() {
+            return Err(format!("superops[{i}]: empty comp"));
+        }
+        if comp.iter().any(|n| n.as_str().is_none()) {
+            return Err(format!("superops[{i}]: non-string opcode in comp"));
         }
         want_num(s, "hits")?;
         want_num(s, "nanos")?;
@@ -503,10 +587,7 @@ pub fn validate_snapshot_line(line: &str) -> Result<(), String> {
 pub fn validate_trace(text: &str) -> Result<(), String> {
     let root = parse_json(text)?;
     check_key_set(&root, "trace", &["traceEvents", "otherData"])?;
-    let events = match want(&root, "traceEvents", "array")? {
-        Json::Arr(items) => items,
-        _ => unreachable!(),
-    };
+    let events = want_arr(&root, "traceEvents")?;
     let other = want(&root, "otherData", "object")?;
     match other.get("schema_version") {
         Some(Json::Str(v)) if *v == SCHEMA_VERSION.to_string() => {}
@@ -530,11 +611,8 @@ pub fn validate_trace(text: &str) -> Result<(), String> {
     let mut links: Vec<(usize, u64, u64)> = Vec::new();
     for (i, event) in events.iter().enumerate() {
         let at = |msg: String| format!("traceEvents[{i}]: {msg}");
-        let ph = match want(event, "ph", "string").map_err(at)? {
-            Json::Str(s) => s.clone(),
-            _ => unreachable!(),
-        };
-        let keys: &[&str] = match ph.as_str() {
+        let ph = want(event, "ph", "string").map_err(at)?.as_str();
+        let keys: &[&str] = match ph.unwrap_or_default() {
             "X" => &["name", "ph", "ts", "dur", "pid", "tid", "args"],
             "i" => &["name", "ph", "s", "ts", "pid", "tid", "args"],
             other => return Err(at(format!("bad ph '{other}' (want X or i)"))),
@@ -544,7 +622,7 @@ pub fn validate_trace(text: &str) -> Result<(), String> {
         want_num(event, "ts").map_err(at)?;
         let pid = want_num(event, "pid").map_err(at)? as u64;
         want_num(event, "tid").map_err(at)?;
-        if ph == "X" {
+        if ph == Some("X") {
             want_num(event, "dur").map_err(at)?;
         }
         let args = want(event, "args", "object").map_err(at)?;
@@ -914,14 +992,62 @@ mod tests {
     }
 
     #[test]
+    fn numbers_keep_their_text() {
+        let v = parse_json(
+            r#"{"big":9007199254740993,"max":18446744073709551615,"over":18446744073709551616,
+                "neg":-1,"frac":1.5,"exp":1e300,"nan":NaN,"inf":inf,"ninf":-inf}"#,
+        )
+        .unwrap();
+        let num = |key: &str| v.get(key).unwrap();
+        assert_eq!(num("big").as_u64(), Some(9_007_199_254_740_993));
+        assert_eq!(num("max").as_u64(), Some(u64::MAX));
+        assert_eq!(req_u64(&v, "max"), Ok(u64::MAX));
+        for inexact in ["over", "neg", "frac", "exp", "nan"] {
+            assert_eq!(num(inexact).as_u64(), None, "{inexact}");
+            assert!(req_u64(&v, inexact).is_err(), "{inexact}");
+        }
+        assert_eq!(num("big").as_u32(), None);
+        assert_eq!(num("frac").as_f64(), Some(1.5));
+        assert!(num("nan").as_f64().unwrap().is_nan());
+        assert_eq!(num("inf").as_f64(), Some(f64::INFINITY));
+        assert_eq!(req_f64(&v, "ninf"), Ok(f64::NEG_INFINITY));
+        assert_eq!(
+            req_f64(&v, "missing"),
+            Err("missing field \"missing\"".to_string())
+        );
+        // `{:?}`'s spellings only: nothing longer, nothing negated twice.
+        for bad in ["nan", "-NaN", "infinity", "Inf", "+1", "-", "1e"] {
+            assert!(parse_json(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
     fn escapes_json_strings() {
         assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(escape_json("\r\t\u{1}é"), "\\r\\t\\u0001é");
-        let text = format!("\"{}\"", escape_json("q\"\\\u{1f}\n"));
+        for text in [
+            "q\"\\\u{1f}\n",
+            "plain",
+            "with \"quotes\" and \\backslashes\\",
+            "newline\nand\ttab and \r return",
+            "control \u{1} char and unicode \u{fffd} é 日本",
+            "",
+        ] {
+            let quoted = format!("\"{}\"", escape_json(text));
+            assert_eq!(
+                parse_json(&quoted),
+                Ok(Json::Str(text.to_string())),
+                "{text:?}"
+            );
+        }
         assert_eq!(
-            parse_json(&text),
-            Ok(Json::Str("q\"\\\u{1f}\n".to_string()))
+            parse_json(r#""\b\f\/\u00e9""#),
+            Ok(Json::Str("\u{8}\u{c}/é".to_string()))
         );
+        // A `\u` escape naming no scalar value is corruption, not U+FFFD.
+        assert!(parse_json(r#""\ud800""#).is_err());
+        assert!(parse_json(r#""\u12""#).is_err());
+        assert!(parse_json(r#""\u+041""#).is_err());
     }
 
     #[test]
@@ -970,6 +1096,23 @@ mod tests {
         set(&mut snap, "exec_memo_misses", 4);
         let err = validate_snapshot_line(&crate::export::jsonl_line(&snap)).unwrap_err();
         assert!(err.contains("exceeds interp_runs"), "{err}");
+    }
+
+    #[test]
+    fn validator_rejects_non_finite_numbers() {
+        let line = crate::export::jsonl_line(&crate::metrics::MetricsSnapshot::empty());
+        validate_snapshot_line(&line).expect("valid row");
+        let nan = line.replacen("\"interp_runs\":0", "\"interp_runs\":NaN", 1);
+        assert_ne!(nan, line);
+        let err = validate_snapshot_line(&nan).unwrap_err();
+        assert!(err.contains("finite"), "{err}");
+        let huge = line.replacen("\"elapsed_nanos\":0", "\"elapsed_nanos\":1e400", 1);
+        assert_ne!(huge, line);
+        assert!(validate_snapshot_line(&huge).is_err());
+
+        let doc = trace_doc(&trace_event(1, 0).replace("\"ts\":0", "\"ts\":inf"));
+        let err = validate_trace(&doc).unwrap_err();
+        assert!(err.contains("finite"), "{err}");
     }
 
     #[test]

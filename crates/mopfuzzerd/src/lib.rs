@@ -15,10 +15,13 @@
 //! Campaigns run on per-tenant driver threads multiplexed onto the one
 //! process-wide work pool (capacity = the max of the tenants' `jobs`,
 //! never the sum), gated by a FIFO admission semaphore of `max_active`
-//! slots. Each campaign journals under its own tenant directory using
-//! the same library calls and defaults as the CLI, so its journal is
-//! byte-identical to a standalone `mopfuzzer` run at the same seed and
-//! worker counts. A drain (SIGTERM, or [`Server::drain`]) stops every
+//! slots. A submitted spec is a [`CampaignSpec`], the `mopfuzzer`
+//! crate's type the CLI resolves its flags through: defaults come from
+//! that one place, out-of-range or inexact integers are a 400, and so
+//! are `jobs`/`oracle_jobs` above `mopfuzzer::spec::MAX_JOBS`. Each
+//! campaign journals under its own tenant directory using the same
+//! library calls as the CLI, so its journal is byte-identical to a
+//! standalone `mopfuzzer` run at the same seed and worker counts. A drain (SIGTERM, or [`Server::drain`]) stops every
 //! running campaign at its next round boundary with journals flushed;
 //! `mopfuzzer serve --resume` re-adopts and finishes them
 //! bit-identically. See `DESIGN.md` ("Fleet service") for the full
@@ -31,9 +34,11 @@ pub use http::{read_request, respond, Request};
 /// Escapes a string for embedding in a JSON document (the daemon writes
 /// all of its JSON by hand, like every other crate in the workspace).
 pub use jtelemetry::schema::escape_json as esc;
+/// A tenant's campaign parameters: the `mopfuzzer` crate's spec, so a
+/// tenant resolves defaults and limits exactly as the CLI does.
+pub use mopfuzzer::CampaignSpec;
 pub use registry::{
-    CampaignSpec, CampaignStatus, Registry, State, CAMPAIGNS_DIR, JOURNAL_FILE, SPEC_FILE,
-    STATUS_FILE,
+    CampaignStatus, Registry, State, CAMPAIGNS_DIR, JOURNAL_FILE, SPEC_FILE, STATUS_FILE,
 };
 
 use std::net::{SocketAddr, TcpListener, TcpStream};

@@ -15,10 +15,12 @@
 //!
 //! The scheduler itself is a counting semaphore: at most `max_active`
 //! campaigns run concurrently, the rest queue FIFO on their driver
-//! threads. Journals are written by the exact same library calls the
-//! CLI makes with the same defaults, which is what keeps a daemon
-//! campaign's journal byte-identical to `mopfuzzer --rounds .. --rng ..
-//! --journal ..` at the same seed and worker counts (test-enforced).
+//! threads. A tenant's spec resolves its defaults and builds its
+//! [`mopfuzzer::CampaignConfig`] through the same
+//! [`mopfuzzer::CampaignSpec`] the CLI uses, and journals are written by
+//! the same library calls, which is what keeps a daemon campaign's
+//! journal byte-identical to `mopfuzzer --rounds .. --rng .. --journal
+//! ..` at the same seed and worker counts (test-enforced).
 //!
 //! Lifecycle: `queued → running → done`, with three other exits —
 //! `cancelled` (the tenant's cancel endpoint fired), `interrupted` (a
@@ -27,12 +29,11 @@
 //! `failed` (the campaign returned an error).
 
 use crate::esc;
-use jtelemetry::schema::{parse_json, Json};
+use jtelemetry::schema::{parse_json, req_str, req_u64, Json};
 use jtelemetry::MetricsSnapshot;
-use jvmsim::JvmSpec;
 use mopfuzzer::{
     resume_campaign_extended, run_campaign_with_journal_observed, run_corpus_campaign,
-    CampaignConfig, CampaignObserver, CampaignResult, CorpusOptions, SupervisorConfig, Variant,
+    CampaignObserver, CampaignResult, CampaignSpec, CorpusOptions,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,116 +47,6 @@ pub const STATUS_FILE: &str = "status.json";
 pub const JOURNAL_FILE: &str = "journal.jsonl";
 /// Subdirectory of the data dir holding one directory per tenant.
 pub const CAMPAIGNS_DIR: &str = "campaigns";
-
-/// `--jobs` default, mirroring the CLI: every hardware thread.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}
-
-/// `--oracle-jobs` default, mirroring the CLI: leftover threads, min 1.
-fn default_oracle_jobs(jobs: usize) -> usize {
-    default_jobs().saturating_sub(jobs).max(1)
-}
-
-/// One tenant's campaign parameters, resolved to the same defaults the
-/// CLI resolves (that resolution is what the journal-equivalence
-/// guarantee leans on). Serialized fully resolved into `spec.json`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CampaignSpec {
-    /// Supervised rounds to run (required, >= 1).
-    pub rounds: usize,
-    /// Campaign RNG seed (`"seed"`; default 0).
-    pub rng_seed: u64,
-    /// Mutation iterations per seed (default 50, the paper's setting).
-    pub iterations: usize,
-    /// Corpus store directory; `None` fuzzes the built-in corpus.
-    pub corpus: Option<PathBuf>,
-    /// Round-level worker threads (default: all hardware threads).
-    pub jobs: usize,
-    /// Oracle worker threads (default: leftover hardware threads, min 1).
-    pub oracle_jobs: usize,
-    /// Wall-clock round timeout in milliseconds, if any.
-    pub round_timeout_ms: Option<u64>,
-}
-
-fn field_u64(json: &Json, key: &str) -> Result<Option<u64>, String> {
-    match json.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 => Ok(Some(*n as u64)),
-        Some(_) => Err(format!("\"{key}\" must be a non-negative integer")),
-    }
-}
-
-impl CampaignSpec {
-    /// Parses a submission body, rejecting unknown keys so a typo'd
-    /// option fails loudly instead of silently running with defaults.
-    pub fn from_json(text: &str) -> Result<CampaignSpec, String> {
-        let json = parse_json(text)?;
-        let Json::Obj(map) = &json else {
-            return Err("campaign spec must be a JSON object".to_string());
-        };
-        const KNOWN: [&str; 7] = [
-            "rounds",
-            "seed",
-            "iterations",
-            "corpus",
-            "jobs",
-            "oracle_jobs",
-            "round_timeout_ms",
-        ];
-        for key in map.keys() {
-            if !KNOWN.contains(&key.as_str()) {
-                return Err(format!("unknown spec field \"{key}\""));
-            }
-        }
-        let rounds = field_u64(&json, "rounds")?
-            .ok_or_else(|| "\"rounds\" is required".to_string())? as usize;
-        if rounds == 0 {
-            return Err("\"rounds\" must be >= 1".to_string());
-        }
-        let corpus = match json.get("corpus") {
-            None | Some(Json::Null) => None,
-            Some(Json::Str(dir)) => Some(PathBuf::from(dir)),
-            Some(_) => return Err("\"corpus\" must be a string".to_string()),
-        };
-        let jobs = match field_u64(&json, "jobs")? {
-            Some(0) => return Err("\"jobs\" must be >= 1".to_string()),
-            Some(jobs) => jobs as usize,
-            None => default_jobs(),
-        };
-        let oracle_jobs = match field_u64(&json, "oracle_jobs")? {
-            Some(0) => return Err("\"oracle_jobs\" must be >= 1".to_string()),
-            Some(jobs) => jobs as usize,
-            None => default_oracle_jobs(jobs),
-        };
-        Ok(CampaignSpec {
-            rounds,
-            rng_seed: field_u64(&json, "seed")?.unwrap_or(0),
-            iterations: field_u64(&json, "iterations")?.unwrap_or(50) as usize,
-            corpus,
-            jobs,
-            oracle_jobs,
-            round_timeout_ms: field_u64(&json, "round_timeout_ms")?,
-        })
-    }
-
-    /// The resolved spec, in the same shape `from_json` accepts.
-    pub fn to_json(&self) -> String {
-        let corpus = match &self.corpus {
-            Some(dir) => format!("\"{}\"", esc(&dir.display().to_string())),
-            None => "null".to_string(),
-        };
-        let timeout = match self.round_timeout_ms {
-            Some(ms) => ms.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"rounds\":{},\"seed\":{},\"iterations\":{},\"corpus\":{corpus},\
-             \"jobs\":{},\"oracle_jobs\":{},\"round_timeout_ms\":{timeout}}}",
-            self.rounds, self.rng_seed, self.iterations, self.jobs, self.oracle_jobs,
-        )
-    }
-}
 
 /// Where a tenant is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,25 +127,16 @@ impl CampaignStatus {
 
     fn from_json(text: &str) -> Result<CampaignStatus, String> {
         let json = parse_json(text)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            match json.get(key) {
-                Some(Json::Str(s)) => Ok(s.clone()),
-                _ => Err(format!("status is missing \"{key}\"")),
-            }
-        };
-        let state = State::from_str(&str_field("state")?)?;
+        let count = |key: &str| req_u64(&json, key).map(|n| n as usize);
         Ok(CampaignStatus {
-            id: str_field("id")?,
-            state,
-            rounds: field_u64(&json, "rounds")?.unwrap_or(0) as usize,
-            completed_rounds: field_u64(&json, "completed_rounds")?.unwrap_or(0) as usize,
-            bugs: field_u64(&json, "bugs")?.unwrap_or(0) as usize,
-            executions: field_u64(&json, "executions")?.unwrap_or(0),
-            error: match json.get("error") {
-                Some(Json::Str(e)) => Some(e.clone()),
-                _ => None,
-            },
-            journal: PathBuf::from(str_field("journal")?),
+            id: req_str(&json, "id")?,
+            state: State::from_str(&req_str(&json, "state")?)?,
+            rounds: count("rounds")?,
+            completed_rounds: count("completed_rounds")?,
+            bugs: count("bugs")?,
+            executions: req_u64(&json, "executions")?,
+            error: json.get("error").and_then(Json::as_str).map(str::to_string),
+            journal: PathBuf::from(req_str(&json, "journal")?),
         })
     }
 }
@@ -276,6 +158,34 @@ struct Tenant {
 }
 
 impl Tenant {
+    /// A tenant at `status`, or freshly queued when it has none yet.
+    fn new(
+        id: String,
+        dir: PathBuf,
+        spec: CampaignSpec,
+        status: Option<CampaignStatus>,
+    ) -> Arc<Tenant> {
+        let status = status.unwrap_or_else(|| CampaignStatus {
+            id: id.clone(),
+            state: State::Queued,
+            rounds: spec.rounds,
+            completed_rounds: 0,
+            bugs: 0,
+            executions: 0,
+            error: None,
+            journal: dir.join(JOURNAL_FILE),
+        });
+        Arc::new(Tenant {
+            id,
+            dir,
+            spec,
+            stop: Arc::new(AtomicBool::new(false)),
+            cancelled: AtomicBool::new(false),
+            status: Mutex::new(status),
+            metrics: Mutex::new(None),
+        })
+    }
+
     fn persist_status(&self) {
         let (text, path) = {
             let status = self.status.lock().unwrap_or_else(|e| e.into_inner());
@@ -350,29 +260,14 @@ impl Registry {
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_default();
             let status = match std::fs::read_to_string(dir.join(STATUS_FILE)) {
-                Ok(text) => CampaignStatus::from_json(&text)
-                    .map_err(|e| format!("{}: {e}", dir.join(STATUS_FILE).display()))?,
-                Err(_) => CampaignStatus {
-                    id: id.clone(),
-                    state: State::Queued,
-                    rounds: spec.rounds,
-                    completed_rounds: 0,
-                    bugs: 0,
-                    executions: 0,
-                    error: None,
-                    journal: dir.join(JOURNAL_FILE),
-                },
+                Ok(text) => Some(
+                    CampaignStatus::from_json(&text)
+                        .map_err(|e| format!("{}: {e}", dir.join(STATUS_FILE).display()))?,
+                ),
+                Err(_) => None,
             };
-            let incomplete = !status.state.terminal();
-            let tenant = Arc::new(Tenant {
-                id,
-                dir,
-                spec,
-                stop: Arc::new(AtomicBool::new(false)),
-                cancelled: AtomicBool::new(false),
-                status: Mutex::new(status),
-                metrics: Mutex::new(None),
-            });
+            let incomplete = status.as_ref().is_none_or(|s| !s.state.terminal());
+            let tenant = Tenant::new(id, dir, spec, status);
             self.tenants
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -401,25 +296,7 @@ impl Registry {
                 .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
             std::fs::write(dir.join(SPEC_FILE), spec.to_json() + "\n")
                 .map_err(|e| format!("cannot write {}: {e}", dir.join(SPEC_FILE).display()))?;
-            let status = CampaignStatus {
-                id: id.clone(),
-                state: State::Queued,
-                rounds: spec.rounds,
-                completed_rounds: 0,
-                bugs: 0,
-                executions: 0,
-                error: None,
-                journal: dir.join(JOURNAL_FILE),
-            };
-            let tenant = Arc::new(Tenant {
-                id,
-                dir,
-                spec,
-                stop: Arc::new(AtomicBool::new(false)),
-                cancelled: AtomicBool::new(false),
-                status: Mutex::new(status),
-                metrics: Mutex::new(None),
-            });
+            let tenant = Tenant::new(id, dir, spec, None);
             tenants.push(tenant.clone());
             tenant
         };
@@ -643,28 +520,6 @@ fn drive(registry: Arc<Registry>, tenant: Arc<Tenant>) {
     registry.release();
 }
 
-/// Builds the exact [`CampaignConfig`] the CLI builds for
-/// `mopfuzzer --rounds R --rng S --jobs J --oracle-jobs K
-/// [--iterations I] [--round-timeout MS]`: full guidance, the standard
-/// differential pool, default supervisor policy. Journal equivalence
-/// with a standalone CLI run rests on this mapping.
-fn campaign_config(spec: &CampaignSpec) -> CampaignConfig {
-    CampaignConfig {
-        iterations_per_seed: spec.iterations,
-        variant: Variant::Full,
-        rounds: spec.rounds,
-        pool: JvmSpec::differential_pool(),
-        rng_seed: spec.rng_seed,
-        supervisor: SupervisorConfig {
-            round_wall_timeout_ms: spec.round_timeout_ms,
-            ..SupervisorConfig::default()
-        },
-        fault: None,
-        jobs: spec.jobs,
-        oracle_jobs: spec.oracle_jobs,
-    }
-}
-
 fn run_tenant_campaign(tenant: &Tenant) -> Result<CampaignResult, String> {
     let journal = tenant.dir.join(JOURNAL_FILE);
     let mut sink = RoundSink { tenant };
@@ -680,7 +535,7 @@ fn run_tenant_campaign(tenant: &Tenant) -> Result<CampaignResult, String> {
             Some(&mut sink),
         );
     }
-    let config = campaign_config(&tenant.spec);
+    let config = tenant.spec.config();
     match &tenant.spec.corpus {
         None => {
             let seeds = mopfuzzer::corpus::builtin();
@@ -702,49 +557,6 @@ fn run_tenant_campaign(tenant: &Tenant) -> Result<CampaignResult, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_defaults_mirror_the_cli() {
-        let spec = CampaignSpec::from_json("{\"rounds\": 3}").unwrap();
-        assert_eq!(spec.rounds, 3);
-        assert_eq!(spec.rng_seed, 0);
-        assert_eq!(spec.iterations, 50);
-        assert_eq!(spec.corpus, None);
-        assert_eq!(spec.jobs, default_jobs());
-        assert_eq!(spec.oracle_jobs, default_oracle_jobs(spec.jobs));
-        assert_eq!(spec.round_timeout_ms, None);
-    }
-
-    #[test]
-    fn spec_round_trips_through_json() {
-        let spec = CampaignSpec {
-            rounds: 4,
-            rng_seed: 7,
-            iterations: 10,
-            corpus: Some(PathBuf::from("/tmp/store")),
-            jobs: 2,
-            oracle_jobs: 3,
-            round_timeout_ms: Some(500),
-        };
-        assert_eq!(CampaignSpec::from_json(&spec.to_json()).unwrap(), spec);
-    }
-
-    #[test]
-    fn spec_rejects_bad_input() {
-        assert!(CampaignSpec::from_json("{}")
-            .unwrap_err()
-            .contains("rounds"));
-        assert!(CampaignSpec::from_json("{\"rounds\":0}")
-            .unwrap_err()
-            .contains(">= 1"));
-        assert!(CampaignSpec::from_json("{\"rounds\":2,\"jbos\":1}")
-            .unwrap_err()
-            .contains("unknown spec field"));
-        assert!(CampaignSpec::from_json("{\"rounds\":2,\"jobs\":0}")
-            .unwrap_err()
-            .contains("jobs"));
-        assert!(CampaignSpec::from_json("not json").is_err());
-    }
 
     #[test]
     fn status_round_trips_through_json() {

@@ -343,7 +343,7 @@ fn stats_json_is_machine_readable() {
 
     let json = parse_json(&store.stats_json()).expect("stats --json must be valid JSON");
     assert_eq!(json.get("type"), Some(&Json::Str("jcorpus-stats".into())));
-    assert_eq!(json.get("version"), Some(&Json::Num(1.0)));
+    assert_eq!(json.get("version").and_then(Json::as_f64), Some(1.0));
     assert_eq!(json.get("dir"), Some(&Json::Str(dir.display().to_string())));
     let Some(Json::Arr(entries)) = json.get("entries") else {
         panic!("entries must be an array");
@@ -374,7 +374,7 @@ fn stats_json_is_machine_readable() {
                 "{key} must be a number: {entry:?}"
             );
         }
-        let Some(Json::Num(energy)) = entry.get("energy") else {
+        let Some(energy) = entry.get("energy").and_then(Json::as_f64) else {
             unreachable!()
         };
         total += energy;
@@ -384,7 +384,7 @@ fn stats_json_is_machine_readable() {
         panic!("quarantine must be an array");
     };
     assert_eq!(quarantine.len(), store.quarantine().len());
-    let Some(Json::Num(reported)) = json.get("total_energy") else {
+    let Some(reported) = json.get("total_energy").and_then(Json::as_f64) else {
         panic!("total_energy must be a number");
     };
     assert!((reported - total).abs() < 1e-9);

@@ -432,3 +432,42 @@ fn deeply_nested_body_is_rejected_and_the_daemon_survives() {
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One request cannot ask the shared work pool for unbounded OS threads:
+/// worker counts above `mopfuzzer::spec::MAX_JOBS` (or not integers at
+/// all) are a 400 before any campaign exists, and the daemon keeps
+/// serving.
+#[test]
+fn oversized_worker_counts_are_rejected_and_the_daemon_survives() {
+    let dir = temp_dir("ceiling");
+    let server = Server::start(Config {
+        listen: "127.0.0.1:0".to_string(),
+        data_dir: dir.clone(),
+        max_active: 1,
+        resume: false,
+    })
+    .unwrap();
+    let addr = server.addr();
+    for body in [
+        "{\"rounds\":100000,\"jobs\":100000}",
+        "{\"rounds\":100000,\"oracle_jobs\":100000}",
+        "{\"rounds\":100000,\"jobs\":1e300}",
+    ] {
+        let (status, reply) = request(addr, "POST", "/campaigns", body);
+        assert!(
+            (400..500).contains(&status),
+            "{body}: status {status}: {reply}"
+        );
+        assert!(reply.contains("jobs"), "{body}: {reply}");
+    }
+    let (status, body) = request(addr, "GET", "/healthz", "");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    let (status, listed) = request(addr, "GET", "/campaigns", "");
+    assert_eq!(
+        (status, listed.trim()),
+        (200, "[]"),
+        "no campaign was created"
+    );
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
