@@ -29,6 +29,8 @@
 //! `failed` (the campaign returned an error).
 
 use crate::esc;
+use jcorpus::vfs::write_atomic;
+use jcorpus::RealVfs;
 use jtelemetry::schema::{parse_json, req_str, req_u64, Json};
 use jtelemetry::MetricsSnapshot;
 use mopfuzzer::{
@@ -191,12 +193,8 @@ impl Tenant {
             let status = self.status.lock().unwrap_or_else(|e| e.into_inner());
             (status.to_json(), self.dir.join(STATUS_FILE))
         };
-        // tmp + rename: a crash leaves either the old or the new status,
-        // never a torn one.
-        let tmp = self.dir.join("status.json.tmp");
-        let write =
-            std::fs::write(&tmp, text.as_bytes()).and_then(|()| std::fs::rename(&tmp, &path));
-        if let Err(e) = write {
+        // A crash leaves either the old or the new status, never a torn one.
+        if let Err(e) = write_atomic(&RealVfs, &path, &text) {
             eprintln!("warning: cannot persist {}: {e}", path.display());
         }
     }
@@ -294,8 +292,10 @@ impl Registry {
             let dir = self.campaigns_dir.join(&id);
             std::fs::create_dir_all(&dir)
                 .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-            std::fs::write(dir.join(SPEC_FILE), spec.to_json() + "\n")
-                .map_err(|e| format!("cannot write {}: {e}", dir.join(SPEC_FILE).display()))?;
+            // A crash mid-write leaves only a torn `spec.tmp`, which
+            // `adopt_existing` skips and the next submit overwrites.
+            write_atomic(&RealVfs, &dir.join(SPEC_FILE), &(spec.to_json() + "\n"))
+                .map_err(|e| format!("cannot write spec: {e}"))?;
             let tenant = Tenant::new(id, dir, spec, None);
             tenants.push(tenant.clone());
             tenant

@@ -242,6 +242,55 @@ fn drain_and_resume_converges_to_the_uninterrupted_journal() {
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
+/// A crash mid-submit, before the spec's rename, leaves a tenant
+/// directory holding only a torn `spec.tmp`. The daemon still opens
+/// (with `--resume`, the path that reads every spec), and the next submit
+/// takes that id over and runs to completion.
+#[test]
+fn torn_spec_tmp_from_a_crashed_submit_is_taken_over() {
+    let dir = temp_dir("torn_spec");
+    let tenant = dir.join(CAMPAIGNS_DIR).join("c0001");
+    std::fs::create_dir_all(&tenant).unwrap();
+    std::fs::write(tenant.join("spec.tmp"), "{\"rounds\":3,\"se").unwrap();
+
+    let server = Server::start(Config {
+        listen: "127.0.0.1:0".to_string(),
+        data_dir: dir.clone(),
+        max_active: 1,
+        resume: true,
+    })
+    .unwrap();
+    let addr = server.addr();
+    let (status, listed) = request(addr, "GET", "/campaigns", "");
+    assert_eq!((status, listed.trim()), (200, "[]"));
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/campaigns",
+        "{\"rounds\": 2, \"seed\": 5, \"iterations\": 5, \"jobs\": 1, \"oracle_jobs\": 1}",
+    );
+    assert_eq!(status, 201, "{body}");
+    assert!(body.contains("\"id\":\"c0001\""), "{body}");
+    poll_campaign(addr, "c0001", |b| b.contains("\"state\":\"done\""), "done");
+    server.shutdown();
+    assert!(
+        !tenant.join("spec.tmp").exists(),
+        "the submit renamed over it"
+    );
+
+    let ref_dir = temp_dir("torn_spec_ref");
+    std::fs::create_dir_all(&ref_dir).unwrap();
+    reference_journal(&ref_dir.join("ref.jsonl"), 2, 5, 5, 1, 1);
+    assert_eq!(
+        std::fs::read(daemon_journal(&dir, "c0001")).unwrap(),
+        std::fs::read(ref_dir.join("ref.jsonl")).unwrap(),
+        "the taken-over tenant diverged from the CLI-equivalent run"
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&ref_dir);
+}
+
 /// Corpus campaigns work through the daemon too, over a store the
 /// campaign promotes into; the journal matches a serial corpus run.
 #[test]
